@@ -22,6 +22,9 @@ from .encoders import SemanticSpace
 from .errors import DataError, NumericalError
 
 _MIN_STEP = 1e-30
+_EPS = np.finfo(np.float64).eps
+# Bytes of temporaries one block of a distance computation may allocate.
+_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,101 @@ class StressTrace:
     restart_index: int
 
 
-def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, block: int = 2048) -> np.ndarray:
-    """Exact squared Euclidean distances via explicit differences, blocked
-    over rows of X to bound memory."""
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _slack(x2: np.ndarray, y2: np.ndarray, d: int) -> float:
+    """Bound on how far a Gram-form squared distance can lie from the
+    explicit-difference value: d * eps * (max ||x||^2 + max ||y||^2) with a
+    safety factor. Outcomes decided within it are recomputed exactly."""
+    return 8.0 * (d + 2) * _EPS * (x2.max(initial=0.0) + y2.max(initial=0.0))
+
+
+def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y,
+    blocked over rows of X within _BLOCK_BYTES, so the memory beyond the
+    (n, m) result is O(block * m) rather than O(n * m * d).
+
+    Entries within rounding slack of zero are recomputed by explicit
+    differences, so coincident rows are exactly 0; every other entry is
+    within _slack of the explicit-difference value. Callers whose outcome
+    hangs on ties (kNN cutoffs, argmins) refine those with _exact_sq_dists.
+    """
+    x2, y2 = _sq_norms(X), _sq_norms(Y)
+    slack = _slack(x2, y2, X.shape[1])
     out = np.empty((X.shape[0], Y.shape[0]))
-    for start in range(0, X.shape[0], block):
-        stop = min(start + block, X.shape[0])
-        diff = X[start:stop, None, :] - Y[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    step = max(1, _BLOCK_BYTES // (9 * max(1, Y.shape[0])))
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
+        block = out[rows]
+        np.matmul(X[rows], Y.T, out=block)
+        block *= -2.0
+        block += x2[rows, None]
+        block += y2
+        i, j = np.nonzero(block <= slack)  # includes every negative entry
+        if i.size:
+            block[i, j] = _exact_sq_dists(X, Y, i + start, j)
     return out
+
+
+def _exact_sq_dists(X: np.ndarray, Y: np.ndarray, rows, cols) -> np.ndarray:
+    """Explicit-difference squared distances ||X[rows] - Y[cols]||^2 of the
+    given index pairs, in chunks whose temporaries stay within _BLOCK_BYTES."""
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK_BYTES // (16 * max(1, X.shape[1])))
+    for start in range(0, len(rows), step):
+        pairs = slice(start, start + step)
+        diff = X[rows[pairs]]
+        diff -= Y[cols[pairs]]
+        out[pairs] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Row-wise argmin of d2 = _pairwise_sq_dists(X, Y). Rows whose runner-up
+    lies within the rounding slack of the minimum are decided on exact
+    values, so an exact tie still goes to the smallest column."""
+    best = np.argmin(d2, axis=1)
+    low = d2[np.arange(d2.shape[0]), best]
+    slack = _slack(_sq_norms(X), _sq_norms(Y), X.shape[1])
+    near = d2 <= low[:, None] + 2.0 * slack
+    rows = np.flatnonzero(near.sum(axis=1) > 1)
+    if rows.size:
+        r, cols = np.nonzero(near[rows])
+        exact = np.full((rows.size, d2.shape[1]), np.inf)
+        exact[r, cols] = _exact_sq_dists(X, Y, rows[r], cols)
+        best[rows] = np.argmin(exact, axis=1)
+    return best
+
+
+def _knn_exact(X, d2, slack, start, k):
+    """Neighbours of the rows start, start+1, ... of X whose Gram-form
+    squared distances are d2: every j at a positive exact distance within
+    the k smallest distinct positive exact distances of its row (ties all
+    included). Returns (rows, cols, exact squared distances).
+
+    Gram values that chain within 2*slack are merged before distinct values
+    are counted. Every neighbour lies in the first k + 1 merged groups (the
+    first may hold only zeros), so only those entries are recomputed by
+    explicit differences and ranked.
+    """
+    order = np.argsort(d2, axis=1, kind="stable")
+    ranked = np.take_along_axis(d2, order, axis=1)
+    group = np.zeros(ranked.shape, dtype=np.int64)
+    np.cumsum(np.diff(ranked, axis=1) > 2.0 * slack, axis=1, out=group[:, 1:])
+    n_cand = (group <= k).sum(axis=1)
+    r, pos = np.nonzero(np.arange(n_cand.max()) < n_cand[:, None])
+    exact = np.full((d2.shape[0], n_cand.max()), np.inf)
+    exact[r, pos] = _exact_sq_dists(X, X, r + start, order[r, pos])
+    exact[exact == 0] = np.inf  # coincident pairs carry no geometry
+    ranked = np.sort(exact, axis=1)
+    distinct = np.isfinite(ranked)
+    distinct[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+    within = np.isfinite(ranked) & (np.cumsum(distinct, axis=1) <= k)
+    cutoff = np.where(within, ranked, -np.inf).max(axis=1)
+    r, pos = np.nonzero(exact <= cutoff[:, None])
+    return r + start, order[r, pos], exact[r, pos]
 
 
 def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
@@ -111,19 +200,17 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
         raise ValueError(f"kernel width must be positive, got {width}")
 
     d2 = _pairwise_sq_dists(X, X)
-    np.fill_diagonal(d2, np.inf)
-
+    x2 = _sq_norms(X)
+    slack = _slack(x2, x2, X.shape[1])
+    scale = 2.0 * width**2
     same = labels[:, None] == labels[None, :]
     W = np.zeros((n, n))
-    for i in range(n):
-        positive = np.flatnonzero(np.isfinite(d2[i]) & (d2[i] > 0))
-        if positive.size == 0:
-            continue
-        ranks = np.unique(d2[i, positive])
-        cutoff = ranks[min(n_neighbors, ranks.size) - 1]
-        neighbors = positive[d2[i, positive] <= cutoff]
-        keep = neighbors[same[i, neighbors]]
-        W[i, keep] = np.exp(-d2[i, keep] / (2.0 * width**2))
+    step = max(1, _BLOCK_BYTES // (40 * n))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        i, j, dist = _knn_exact(X, d2[rows], slack, start, n_neighbors)
+        keep = same[i, j]
+        W[i[keep], j[keep]] = np.exp(-dist[keep] / scale)
     W = np.maximum(W, W.T)
 
     empty = np.flatnonzero(W.sum(axis=1) == 0)
@@ -135,7 +222,7 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
                 f"class {labels[i]!r} has a single example; its graph row cannot "
                 "be populated"
             )
-        W[i, mates] = np.exp(-d2[i, mates] / (2.0 * width**2))
+        W[i, mates] = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, i), mates) / scale)
         W[mates, i] = W[i, mates]
     return AffinityGraph(weights=W, n_neighbors=n_neighbors, width=float(width))
 
@@ -260,7 +347,7 @@ def semantic_distance_matrix(space: SemanticSpace) -> np.ndarray:
     if reps.shape[0] < 2:
         raise ValueError("need at least two classes for a distance matrix")
     if space.metric == "euclidean":
-        D = np.sqrt(np.maximum(_pairwise_sq_dists(reps, reps), 0.0))
+        D = np.sqrt(_pairwise_sq_dists(reps, reps))
     else:
         norms = np.linalg.norm(reps, axis=1)
         if np.any(norms == 0):
@@ -275,51 +362,26 @@ def semantic_distance_matrix(space: SemanticSpace) -> np.ndarray:
     return D
 
 
-def _sammon_stress(Y, landmarks, delta_us, delta_uu, sum_delta):
-    d_us = np.sqrt(np.maximum(_pairwise_sq_dists(Y, landmarks), 0.0))
-    stress = np.sum((delta_us - d_us) ** 2 / delta_us)
-    if Y.shape[0] > 1:
-        d_uu = np.sqrt(np.maximum(_pairwise_sq_dists(Y, Y), 0.0))
-        iu = np.triu_indices(Y.shape[0], k=1)
-        stress += np.sum((delta_uu[iu] - d_uu[iu]) ** 2 / delta_uu[iu])
-    return stress / sum_delta
-
-
-def _sammon_gradient(Y, landmarks, delta_us, delta_uu, sum_delta):
-    eps = 1e-12
-    d_us = np.sqrt(np.maximum(_pairwise_sq_dists(Y, landmarks), 0.0))
-    coef = (delta_us - d_us) / (delta_us * np.maximum(d_us, eps))  # (u, s)
-    diff = Y[:, None, :] - landmarks[None, :, :]
-    grad = np.einsum("us,usd->ud", coef, diff)
-    if Y.shape[0] > 1:
-        d_uu = np.sqrt(np.maximum(_pairwise_sq_dists(Y, Y), 0.0))
-        coef_uu = (delta_uu - d_uu) / (np.maximum(delta_uu, eps) * np.maximum(d_uu, eps))
-        np.fill_diagonal(coef_uu, 0.0)
-        diff_uu = Y[:, None, :] - Y[None, :, :]
-        grad += np.einsum("uv,uvd->ud", coef_uu, diff_uu)
-    return -2.0 * grad / sum_delta
-
-
-def _descend(Y0, landmarks, delta_us, delta_uu, sum_delta, lr, max_iter, tol):
+def _descend(Y0, evaluate, gradient, lr, max_iter, tol):
     """Gradient descent with step halving; steps that would increase the
-    stress are rejected. Returns (Y, accepted stress values)."""
+    stress are rejected. evaluate(Y) returns (stress, distances) and the
+    distances of each accepted iterate feed gradient(Y, distances).
+    Returns (Y, accepted stress values)."""
     Y = Y0.copy()
-    stress = _sammon_stress(Y, landmarks, delta_us, delta_uu, sum_delta)
+    stress, dists = evaluate(Y)
     trace = [stress]
     step = lr
     for _ in range(max_iter):
-        grad = _sammon_gradient(Y, landmarks, delta_us, delta_uu, sum_delta)
-        accepted = False
+        grad = gradient(Y, dists)
         while step >= _MIN_STEP:
             Y_new = Y - step * grad
-            s_new = _sammon_stress(Y_new, landmarks, delta_us, delta_uu, sum_delta)
+            s_new, d_new = evaluate(Y_new)
             if s_new <= stress:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-        Y = Y_new
+        Y, dists = Y_new, d_new
         change = stress - s_new
         stress = s_new
         trace.append(stress)
@@ -378,7 +440,7 @@ def lsm_embed(
     if missing:
         raise ValueError(f"classes {missing} missing from the semantic distance matrix")
 
-    n_u, d_latent = len(unseen_ids), landmarks.shape[1]
+    n_s, n_u, d_latent = len(seen_ids), len(unseen_ids), landmarks.shape[1]
     if n_u == 0:
         return (
             np.zeros((0, d_latent)),
@@ -391,9 +453,7 @@ def lsm_embed(
     # commensurate scale between the semantic and latent spaces
     if len(seen_ids) >= 2:
         iu = np.triu_indices(len(seen_ids), k=1)
-        lm_mean = np.sqrt(
-            np.maximum(_pairwise_sq_dists(landmarks, landmarks), 0.0)
-        )[iu].mean()
+        lm_mean = np.sqrt(_pairwise_sq_dists(landmarks, landmarks))[iu].mean()
         sem_mean = dist_semantic[np.ix_(s_idx, s_idx)][iu].mean()
         if sem_mean > 0 and lm_mean > 0:
             scale = lm_mean / sem_mean
@@ -420,7 +480,27 @@ def lsm_embed(
         delta_uu = np.where(off_uu, np.maximum(delta_uu, clamp), delta_uu)
 
     iu = np.triu_indices(n_u, k=1)
-    sum_delta = delta_us.sum() + (delta_uu[iu].sum() if n_u > 1 else 0.0)
+    delta_upper = delta_uu[iu]
+    sum_delta = delta_us.sum() + (delta_upper.sum() if n_u > 1 else 0.0)
+    eps = 1e-12
+    delta_uu_floor = np.maximum(delta_uu, eps)
+
+    def evaluate(Y):
+        dist = np.sqrt(_pairwise_sq_dists(Y, np.concatenate([landmarks, Y])))
+        d_us, d_uu = dist[:, :n_s], dist[:, n_s:]
+        stress = np.sum((delta_us - d_us) ** 2 / delta_us)
+        if n_u > 1:
+            stress += np.sum((delta_upper - d_uu[iu]) ** 2 / delta_upper)
+        return stress / sum_delta, (d_us, d_uu)
+
+    def gradient(Y, dists):
+        d_us, d_uu = dists
+        coef = (delta_us - d_us) / (delta_us * np.maximum(d_us, eps))  # (u, s)
+        coef_uu = (delta_uu - d_uu) / (delta_uu_floor * np.maximum(d_uu, eps))
+        np.fill_diagonal(coef_uu, 0.0)
+        weight = coef.sum(axis=1) + coef_uu.sum(axis=1)
+        grad = weight[:, None] * Y - coef @ landmarks - coef_uu @ Y
+        return -2.0 * grad / sum_delta
 
     if init is not None:
         starts = [np.asarray(init, dtype=np.float64).reshape(n_u, d_latent)]
@@ -435,7 +515,7 @@ def lsm_embed(
 
     best = None
     for r, Y0 in enumerate(starts):
-        Y, trace = _descend(Y0, landmarks, delta_us, delta_uu, sum_delta, lr, max_iter, tol)
+        Y, trace = _descend(Y0, evaluate, gradient, lr, max_iter, tol)
         if best is None or trace[-1] < best[2][-1]:
             best = (r, Y, trace)
     r, Y, trace = best

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .embedding import _exact_sq_dists, _nearest, _pairwise_sq_dists
 from .errors import DataError
 
 METRIC_KEYS = ("A_UU", "A_UT", "A_ST", "H")
@@ -62,12 +63,7 @@ class SearchSpace:
 
 def _distances(points: np.ndarray, embeddings: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
-        out = np.empty((points.shape[0], embeddings.shape[0]))
-        for start in range(0, points.shape[0], 2048):
-            stop = min(start + 2048, points.shape[0])
-            diff = points[start:stop, None, :] - embeddings[None, :, :]
-            out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-        return out  # squared; argmin-equivalent
+        return _pairwise_sq_dists(points, embeddings)  # squared; argmin-equivalent
     if metric == "cosine":
         p_norm = np.linalg.norm(points, axis=1)
         e_norm = np.linalg.norm(embeddings, axis=1)
@@ -86,8 +82,11 @@ def classify_nn(points, space: SearchSpace, metric: str = "euclidean") -> np.nda
         raise ValueError("empty search space")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d = _distances(points, space.embeddings, metric)
-    ids = np.asarray(space.class_ids)
-    return ids[np.argmin(d, axis=1)]
+    if metric == "euclidean":
+        best = _nearest(points, space.embeddings, d)
+    else:
+        best = np.argmin(d, axis=1)
+    return np.asarray(space.class_ids)[best]
 
 
 def per_class_accuracy(pred, truth, class_set) -> float:
@@ -179,37 +178,43 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     centers = np.empty((k, X.shape[1]))
     idx = rng.integers(X.shape[0])
     centers[0] = X[idx]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = _pairwise_sq_dists(X, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         idx = rng.choice(X.shape[0], p=d2 / total) if total > 0 else rng.integers(X.shape[0])
         centers[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _pairwise_sq_dists(X, centers[j : j + 1])[:, 0])
     return centers
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
     k = centers.shape[0]
+    points = np.arange(X.shape[0])
     assignments = None
     for _ in range(max_iter):
-        d2 = _distances(X, centers, "euclidean")
-        new_assign = np.argmin(d2, axis=1)
-        # empty-cluster repair: move the centroid to the point farthest
-        # from the centroid it is currently assigned to
-        for c in range(k):
-            if not np.any(new_assign == c):
-                worst = int(np.argmax(d2[np.arange(X.shape[0]), new_assign]))
-                centers[c] = X[worst]
-                d2[:, c] = np.sum((X - centers[c]) ** 2, axis=1)
-                new_assign = np.argmin(d2, axis=1)
+        d2 = _pairwise_sq_dists(X, centers)
+        new_assign = _nearest(X, centers, d2)
+        # empty-cluster repair, in cluster order: move the centroid to the
+        # point farthest from the centroid it is currently assigned to
+        c = 0
+        while True:
+            empty = np.flatnonzero(np.bincount(new_assign, minlength=k)[c:] == 0)
+            if empty.size == 0:
+                break
+            c += int(empty[0])
+            worst = int(np.argmax(_exact_sq_dists(X, centers, points, new_assign)))
+            centers[c] = X[worst]
+            d2[:, c] = _pairwise_sq_dists(X, centers[c : c + 1])[:, 0]
+            new_assign = _nearest(X, centers, d2)
+            c += 1
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for c in range(k):
-            centers[c] = X[assignments == c].mean(axis=0)
-    d2 = _distances(X, centers, "euclidean")
-    assignments = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), assignments].sum())
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assignments, X)
+        centers = sums / np.bincount(assignments, minlength=k)[:, None]
+    assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers))
+    inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
     return KmeansResult(centroids=centers, assignments=assignments, inertia=inertia)
 
 

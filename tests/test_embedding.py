@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zslkit.embedding import (
+    _pairwise_sq_dists,
     class_landmarks,
     knn_affinity,
     lsm_embed,
@@ -31,6 +34,64 @@ def slpp_matrices(X, labels, n_neighbors, width, reg=1e-8):
     B = 0.5 * (B + B.T)
     B[np.diag_indices(B.shape[0])] += reg * np.trace(B) / B.shape[0]
     return A, B
+
+
+def explicit_sq_dists(X, Y):
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def distinct_rank_affinity(X, labels, k, width):
+    """Test-side kNN graph by an explicit-difference scan that ranks each
+    row's distinct positive distances, with the same-class fallback."""
+    d2 = explicit_sq_dists(X, X)
+    n = X.shape[0]
+    W = np.zeros((n, n))
+    for i in range(n):
+        others = np.flatnonzero((np.arange(n) != i) & (d2[i] > 0))
+        if others.size == 0:
+            continue
+        ranks = np.unique(d2[i, others])
+        cutoff = ranks[min(k, ranks.size) - 1]
+        for j in others[d2[i, others] <= cutoff]:
+            if labels[i] == labels[j]:
+                W[i, j] = np.exp(-d2[i, j] / (2.0 * width**2))
+    W = np.maximum(W, W.T)
+    for i in np.flatnonzero(W.sum(axis=1) == 0):
+        mates = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+        W[i, mates] = W[mates, i] = np.exp(-d2[i, mates] / (2.0 * width**2))
+    return W
+
+
+def grid_points(rng, n, d, offset):
+    """Points of a 0.1-spaced grid: many distances equal up to rounding,
+    some exactly, and some duplicated points."""
+    X = rng.integers(-3, 4, size=(n, d)) * 0.1 + offset
+    X[: n // 5] = X[n // 5 : 2 * (n // 5)]
+    return X
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("d", [1, 3, 20, 128])
+    def test_matches_explicit_differences(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(70, d)) * rng.uniform(0.5, 20.0)
+        Y = np.vstack([rng.normal(size=(30, d)), X[:5]])
+        got = _pairwise_sq_dists(X, Y)
+        want = explicit_sq_dists(X, Y)
+        off = want > 0
+        assert np.max(np.abs(got[off] - want[off]) / want[off]) <= 1e-12
+        assert np.all(got[~off] == 0.0)
+
+    def test_coincident_rows_exactly_zero(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 16)) * 1e3 + 1e4
+        X = np.vstack([X, X[::3]])
+        got = _pairwise_sq_dists(X, X)
+        want = explicit_sq_dists(X, X)
+        assert np.all(np.diag(got) == 0.0)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.all(got >= 0.0)
 
 
 class TestKnnAffinity:
@@ -69,6 +130,15 @@ class TestKnnAffinity:
                     expect[i, j] = np.exp(-d2[j] / (2 * 4.0))
         expect = np.maximum(expect, expect.T)
         np.testing.assert_allclose(g.weights, expect, atol=1e-15)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_grid_ties_match_distinct_rank_scan(self, k, offset):
+        rng = np.random.default_rng(k)
+        X = grid_points(rng, 60, 3, offset)
+        labels = rng.integers(0, 3, size=60)
+        g = knn_affinity(X, labels, n_neighbors=k, width=1.5)
+        np.testing.assert_array_equal(g.weights, distinct_rank_affinity(X, labels, k, 1.5))
 
     def test_empty_row_fallback_connects_class(self):
         # class 1's points sit between class-0 points, so their nearest
@@ -154,6 +224,24 @@ class TestSlpp:
         X, labels = make_blobs(rng, n_classes=2, per_class=5, d=3)
         with pytest.raises(NumericalError):
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
+
+
+class TestPaperScaleMemory:
+    def test_graph_stage_at_d4096_within_memory_bound(self):
+        # the distance stages of slpp_fit at a 4,096-d CNN feature; an
+        # explicit difference tensor would take 300 * 300 * 4096 * 8 B = 2.9 GB
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(300, 4096))
+        labels = np.repeat(np.arange(10), 30)
+        tracemalloc.start()
+        try:
+            width = median_pairwise_distance(X)
+            graph = knn_affinity(X, labels, n_neighbors=10, width=width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(graph.weights.sum(axis=1) > 0)
 
 
 class TestProject:

@@ -36,6 +36,17 @@ def brute_force_nn(points, ids, embeddings, transform=lambda d: d):
     return np.array(preds)
 
 
+def explicit_argmin(points, embeddings):
+    """Nearest row of embeddings by explicit differences, first on ties."""
+    diff = points[:, None, :] - embeddings[None, :, :]
+    return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+
+
+def grid_points(rng, n, offset):
+    """Points of a 0.1-spaced grid: distances tie up to rounding or exactly."""
+    return rng.integers(-3, 4, size=(n, 3)) * 0.1 + offset
+
+
 def exhaustive_two_partition_wcss(points):
     """Minimum within-cluster sum of squares over all 2-partitions."""
     pts = np.asarray(points, dtype=float)
@@ -58,6 +69,15 @@ class TestClassifyNn:
         space = SearchSpace.unseen_only([7, 3], [[1.0, 0.0], [-1.0, 0.0]])
         pred = classify_nn([[0.0, 0.0]], space)
         assert pred.tolist() == [3]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_grid_ties_match_explicit_argmin(self, offset):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            space = SearchSpace.unseen_only(rng.permutation(50)[:20], grid_points(rng, 20, offset))
+            points = grid_points(rng, 80, offset)
+            want = np.asarray(space.class_ids)[explicit_argmin(points, space.embeddings)]
+            np.testing.assert_array_equal(classify_nn(points, space), want)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -258,6 +278,18 @@ class TestKmeans:
     def test_fewer_points_than_k(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)
+
+    @pytest.mark.parametrize("max_iter", [0, 100])
+    def test_grid_assignment_matches_explicit_argmin(self, max_iter):
+        # max_iter=0 keeps the k-means++ centres, which are grid points
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            pts = grid_points(rng, 80, 1e3)
+            result = kmeans(pts, 8, seed=seed, max_iter=max_iter)
+            assign = explicit_argmin(pts, result.centroids)
+            np.testing.assert_array_equal(result.assignments, assign)
+            diff = pts - result.centroids[assign]
+            assert result.inertia == float(np.einsum("ij,ij->i", diff, diff).sum())
 
 
 class TestOptimalAssignment:
