@@ -290,6 +290,9 @@ class TestKmeans:
             np.testing.assert_array_equal(result.assignments, assign)
             diff = pts - result.centroids[assign]
             assert result.inertia == float(np.einsum("ij,ij->i", diff, diff).sum())
+            if max_iter:
+                means = [pts[assign == c].mean(axis=0) for c in range(8)]
+                np.testing.assert_array_equal(result.centroids, means)
 
 
 class TestOptimalAssignment:
