@@ -161,8 +161,9 @@ def _knn_exact(X, d2, slack, start, k):
     group = np.zeros(ranked.shape, dtype=np.int64)
     np.cumsum(np.diff(ranked, axis=1) > 2.0 * slack, axis=1, out=group[:, 1:])
     n_cand = (group <= k).sum(axis=1)
-    r, pos = np.nonzero(np.arange(n_cand.max()) < n_cand[:, None])
-    exact = np.full((d2.shape[0], n_cand.max()), np.inf)
+    width = n_cand.max()
+    r, pos = np.nonzero(np.arange(width) < n_cand[:, None])
+    exact = np.full((d2.shape[0], width), np.inf)
     exact[r, pos] = _exact_sq_dists(X, X, r + start, order[r, pos])
     exact[exact == 0] = np.inf  # coincident pairs carry no geometry
     ranked = np.sort(exact, axis=1)
