@@ -139,6 +139,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     seed_holdout = derive_seed(cfg.seed, split.split_index, 0)
     seed_lsm = derive_seed(cfg.seed, split.split_index, 1)
     seed_kmeans = derive_seed(cfg.seed, split.split_index, 2)
+    seed_kmeans_gzsl = derive_seed(cfg.seed, split.split_index, 3)
 
     labels = np.asarray(labels)
     if cfg.gzsl:
@@ -204,7 +205,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
                 space_t.class_ids,
                 space_t.embeddings,
                 metric=metric,
-                seed=derive_seed(cfg.seed, split.split_index, 3),
+                seed=seed_kmeans_gzsl,
                 n_init=cfg.kmeans_n_init,
                 max_iter=cfg.kmeans_max_iter,
             )
@@ -310,6 +311,7 @@ def run_evaluation(
                 "holdout": derive_seed(cfg.seed, s.split_index, 0),
                 "lsm": derive_seed(cfg.seed, s.split_index, 1),
                 "kmeans": derive_seed(cfg.seed, s.split_index, 2),
+                "kmeans_gzsl": derive_seed(cfg.seed, s.split_index, 3),
             }
             for s in splits
         },

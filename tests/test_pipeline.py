@@ -94,6 +94,29 @@ class TestRunEvaluation:
         for setting in a:
             assert a[setting].splits == b[setting].splits
 
+    def test_seeds_echo_lists_every_derived_seed(self, planted, monkeypatch):
+        ds, space, splits = planted
+        cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, transductive=True, seed=4)
+        derive = pipeline.derive_seed
+        used = {}
+
+        def recording(master, split_index, *path):
+            seed = derive(master, split_index, *path)
+            used.setdefault(split_index, set()).add(seed)
+            return seed
+
+        monkeypatch.setattr(pipeline, "derive_seed", recording)
+        for split in splits:
+            pipeline.evaluate_split(ds.features, ds.labels, space, split, cfg)
+        monkeypatch.undo()
+        reports = pipeline.run_evaluation(
+            ds.name, ds.features, ds.labels, space, splits, cfg, method="m"
+        )
+        for report in reports.values():
+            for split in splits:
+                echoed = set(report.seeds["per_split"][str(split.split_index)].values())
+                assert used[split.split_index] <= echoed
+
     def test_h_equals_per_split_average(self, planted):
         ds, space, splits = planted
         cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, transductive=False, seed=0)
