@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,22 +48,6 @@ def _load_config_file(args) -> dict:
     return payload
 
 
-def _doc_bags(dataset, table, stopword_path):
-    """Tokenize per-class documents and look up word vectors."""
-    stop = corpus.load_stopwords(stopword_path) if stopword_path else corpus.default_stopwords()
-    bags, skipped = [], {}
-    for info in dataset.classes:
-        if info.doc is None:
-            raise DataError(f"class {info.id} ({info.name}) has no document")
-        text = dataset.resolve(info.doc).read_text(encoding="utf-8")
-        doc = corpus.tokenize(text, stop, class_id=info.id)
-        bag, n_skipped = encoders.lookup_word_vectors(doc, table)
-        bags.append(bag)
-        if n_skipped:
-            skipped[str(info.id)] = n_skipped
-    return bags, skipped
-
-
 def _token_docs(dataset, stopword_path):
     stop = corpus.load_stopwords(stopword_path) if stopword_path else corpus.default_stopwords()
     docs = []
@@ -97,16 +80,22 @@ def _encode_space(dataset, method, k, seed, normalize, stopwords, embeddings,
             docs = _token_docs(dataset, stopwords)
             td = corpus.term_document_matrix(docs, corpus.build_vocabulary(docs))
             return encoders.encode_class_set(td, "td"), notes
-        table_path = embeddings or dataset.word_vectors
-        if not table_path:
+        if embeddings:
+            table_path = embeddings
+        elif dataset.word_vectors:
+            table_path = dataset.resolve(dataset.word_vectors)
+        else:
             raise ConfigError(
                 f"method {method!r} needs a word-vector table (--embeddings or the "
                 "manifest's word_vectors field)"
             )
-        if dataset.word_vectors and not embeddings:
-            table_path = dataset.resolve(dataset.word_vectors)
         table = encoders.load_word_vectors(table_path)
-        bags, skipped = _doc_bags(dataset, table, stopwords)
+        bags, skipped = [], {}
+        for doc in _token_docs(dataset, stopwords):
+            bag, n_skipped = encoders.lookup_word_vectors(doc, table)
+            bags.append(bag)
+            if n_skipped:
+                skipped[str(doc.class_id)] = n_skipped
         if skipped:
             notes["skipped_tokens"] = skipped
         if method == "awv":
@@ -196,19 +185,23 @@ def _eval_config_from(args, config) -> pipeline.EvalConfig:
     return cfg
 
 
+def _load_splits(args, config, dataset):
+    """The --splits file if given, else seeded splits over the dataset."""
+    splits_path = _resolve(args, config, "splits", None)
+    if splits_path:
+        return data_io.load_splits(splits_path)
+    n_splits = int(_resolve(args, config, "n_splits", 5))
+    n_seen = int(_resolve(args, config, "n_seen", (dataset.n_classes + 1) // 2))
+    seed = int(_resolve(args, config, "seed", 0))
+    return data_io.generate_class_splits(dataset.class_ids, n_seen, n_splits, seed)
+
+
 def _load_eval_inputs(args, config):
     manifest = _resolve(args, config, "manifest", None) or _missing("manifest")
     space_path = _resolve(args, config, "space", None) or _missing("space")
     dataset = data_io.load_dataset(manifest)
     space = data_io.load_semantic_space(space_path)
-    splits_path = _resolve(args, config, "splits", None)
-    if splits_path:
-        splits = data_io.load_splits(splits_path)
-    else:
-        n_splits = int(_resolve(args, config, "n_splits", 5))
-        n_seen = int(_resolve(args, config, "n_seen", (dataset.n_classes + 1) // 2))
-        seed = int(_resolve(args, config, "seed", 0))
-        splits = data_io.generate_class_splits(dataset.class_ids, n_seen, n_splits, seed)
+    splits = _load_splits(args, config, dataset)
     missing = set(dataset.class_ids) - set(space.class_ids)
     if missing:
         raise DataError(f"semantic space lacks dataset classes {sorted(missing)}")
@@ -253,8 +246,7 @@ def cmd_evaluate(args) -> int:
         splits_path_written=splits_written,
     )
     echo = {"command": "evaluate", "dataset": dataset.name, "method": method,
-            "config": asdict(cfg)}
-    echo["config"]["cv_grid"] = {k: list(v) for k, v in cfg.cv_grid.items()}
+            "config": cfg.echo()}
     data_io.write_json(echo, out_dir / "evaluate_config.json")
     for path in written:
         print(path)
@@ -289,39 +281,27 @@ def cmd_sweep(args) -> int:
 
     manifest = _resolve(args, config, "manifest", None) or _missing("manifest")
     dataset = data_io.load_dataset(manifest)
-    splits_path = _resolve(args, config, "splits", None)
-    if splits_path:
-        splits = data_io.load_splits(splits_path)
-    else:
-        n_splits = int(_resolve(args, config, "n_splits", 5))
-        n_seen = int(_resolve(args, config, "n_seen", (dataset.n_classes + 1) // 2))
-        splits = data_io.generate_class_splits(dataset.class_ids, n_seen, n_splits, seed)
+    splits = _load_splits(args, config, dataset)
     cfg = _eval_config_from(args, config)
     out_dir = Path(_resolve(args, config, "out", "sweep_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    stopwords = _resolve(args, config, "stopwords", None)
+    embeddings = _resolve(args, config, "embeddings", None)
     rows = []
     notes = {}
     for value in values:
-        if axis == "k":
-            space, note = _encode_space(
-                dataset, method, value, seed, normalize,
-                _resolve(args, config, "stopwords", None),
-                _resolve(args, config, "embeddings", None),
+        space, note = _encode_space(
+            dataset, method, value if axis == "k" else k, seed, normalize,
+            stopwords, embeddings,
+            images_per_class=value if axis == "images" else None,
+        )
+        if note.get("clipped_classes"):
+            print(
+                f"note: axis value {value} exceeds some bags; full bags used "
+                f"for classes {note['clipped_classes']}",
+                file=sys.stderr,
             )
-        else:
-            space, note = _encode_space(
-                dataset, method, k, seed, normalize,
-                _resolve(args, config, "stopwords", None),
-                _resolve(args, config, "embeddings", None),
-                images_per_class=value,
-            )
-            if note.get("clipped_classes"):
-                print(
-                    f"note: axis value {value} exceeds some bags; full bags used "
-                    f"for classes {note['clipped_classes']}",
-                    file=sys.stderr,
-                )
         if note:
             notes[str(value)] = note
         reports = pipeline.run_evaluation(
@@ -343,11 +323,10 @@ def cmd_sweep(args) -> int:
         "method": method,
         "k": k,
         "dataset": dataset.name,
-        "config": asdict(cfg),
+        "config": cfg.echo(),
         "notes": notes,
         "seed": seed,
     }
-    echo["config"]["cv_grid"] = {key: list(v) for key, v in cfg.cv_grid.items()}
     data_io.write_json(echo, out_dir / "sweep_config.json")
     print(csv_path)
     return 0
@@ -396,55 +375,49 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--out", help="output directory")
 
+    def add_encoder_options(p, k_help):
+        p.add_argument("--method", choices=METHODS)
+        p.add_argument("--k", type=int, help=k_help)
+        p.add_argument("--normalize", action="store_const", const=True,
+                       help="signed-sqrt + L2 normalization of Fisher encodings")
+        p.add_argument("--stopwords", help="stop-word file, one term per line")
+        p.add_argument("--embeddings", help="word-vector table file")
+
+    def add_eval_options(p):
+        p.add_argument("--manifest", help="dataset manifest JSON")
+        p.add_argument("--splits", help="splits file; generated when omitted")
+        p.add_argument("--n-splits", dest="n_splits", type=int)
+        p.add_argument("--n-seen", dest="n_seen", type=int)
+        p.add_argument("--settings", help="comma list from {czsl,gzsl} (default both)")
+        p.add_argument("--transductive", action="store_const", const=True,
+                       help="also run the clustering-based joint prediction")
+        p.add_argument("--d-latent", dest="d_latent", type=int)
+        p.add_argument("--neighbors", type=int, help="graph neighbour count")
+        p.add_argument("--width-scale", dest="width_scale", type=float,
+                       help="kernel width as a multiple of the median distance")
+        p.add_argument("--workers", type=int,
+                       help="thread pool size (capped by ZSLKIT_THREADS)")
+
     p = sub.add_parser("encode", help="encode a semantic space from class sources")
     add_common(p)
     p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--k", type=int, help="Fisher component count (1..5)")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="signed-sqrt + L2 normalization of Fisher encodings")
-    p.add_argument("--stopwords", help="stop-word file, one term per line")
-    p.add_argument("--embeddings", help="word-vector table file")
+    add_encoder_options(p, "Fisher component count (1..5)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("evaluate", help="run the recognition protocols over splits")
     add_common(p)
-    p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--space", help="semantic-space sidecar JSON")
-    p.add_argument("--splits", help="splits file; generated when omitted")
-    p.add_argument("--n-splits", dest="n_splits", type=int)
-    p.add_argument("--n-seen", dest="n_seen", type=int)
-    p.add_argument("--settings", help="comma list from {czsl,gzsl} (default both)")
-    p.add_argument("--transductive", action="store_const", const=True,
-                   help="also run the clustering-based joint prediction")
     p.add_argument("--cv", action="store_const", const=True,
                    help="select hyperparameters by class-wise cross-validation")
-    p.add_argument("--d-latent", dest="d_latent", type=int)
-    p.add_argument("--neighbors", type=int, help="graph neighbour count")
-    p.add_argument("--width-scale", dest="width_scale", type=float,
-                   help="kernel width as a multiple of the median distance")
-    p.add_argument("--workers", type=int, help="thread pool size (capped by ZSLKIT_THREADS)")
+    add_eval_options(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="evaluate along an axis of encoder settings")
     add_common(p)
-    p.add_argument("--manifest")
     p.add_argument("--axis", choices=("k", "images"))
     p.add_argument("--values", help="comma list of axis values")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--k", type=int, help="Fisher component count for axis=images")
-    p.add_argument("--normalize", action="store_const", const=True)
-    p.add_argument("--splits")
-    p.add_argument("--n-splits", dest="n_splits", type=int)
-    p.add_argument("--n-seen", dest="n_seen", type=int)
-    p.add_argument("--settings")
-    p.add_argument("--transductive", action="store_const", const=True)
-    p.add_argument("--d-latent", dest="d_latent", type=int)
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--width-scale", dest="width_scale", type=float)
-    p.add_argument("--stopwords")
-    p.add_argument("--embeddings")
-    p.add_argument("--workers", type=int)
+    add_encoder_options(p, "Fisher component count for axis=images")
+    add_eval_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")

@@ -27,6 +27,21 @@ from .errors import DataError
 _MAGIC = "ZMAT"
 
 
+def _atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory and a
+    rename, so readers see the old file or the new one, never a part."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_matrix(matrix, path) -> None:
     """Write a 2-D float64 matrix in the ZMAT container, atomically."""
     M = np.asarray(matrix, dtype=np.float64)
@@ -39,17 +54,8 @@ def save_matrix(matrix, path) -> None:
     if bad.size:
         i, j = bad[0]
         raise DataError(f"non-finite value at row {i}, col {j}")
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(f"{_MAGIC} {rows} {cols}\n".encode("ascii"))
-            f.write(M.astype("<f8").tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    header = f"{_MAGIC} {rows} {cols}\n".encode("ascii")
+    _atomic_write(path, header + M.astype("<f8").tobytes(order="C"))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -81,18 +87,8 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_labels(labels, path) -> None:
-    labels = np.asarray(labels)
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as f:
-            for value in labels:
-                f.write(f"{int(value)}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    text = "".join(f"{int(value)}\n" for value in np.asarray(labels))
+    _atomic_write(path, text.encode("ascii"))
 
 
 def load_labels(path) -> np.ndarray:
@@ -109,17 +105,8 @@ def load_labels(path) -> np.ndarray:
 
 
 def write_json(payload, path) -> None:
-    path = Path(path)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text.encode("utf-8"))
 
 
 @dataclass(frozen=True)

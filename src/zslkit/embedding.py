@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
-from .encoders import SemanticSpace
 from .errors import DataError, NumericalError
+
+if TYPE_CHECKING:  # encoders imports gmm, which imports this module
+    from .encoders import SemanticSpace
 
 _MIN_STEP = 1e-30
 _EPS = np.finfo(np.float64).eps
@@ -143,6 +146,22 @@ def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray) -> np.ndarray:
         exact[r, cols] = _exact_sq_dists(X, Y, rows[r], cols)
         best[rows] = np.argmin(exact, axis=1)
     return best
+
+
+def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): the first row is drawn
+    uniformly, each further row with probability proportional to its squared
+    distance from the nearest row already drawn. Returns the k row indices."""
+    n = X.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = _pairwise_sq_dists(X, X[chosen[:1]])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        # a zero total means every row coincides with a row already drawn
+        chosen[j] = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        d2 = np.minimum(d2, _pairwise_sq_dists(X, X[chosen[j : j + 1]])[:, 0])
+    return chosen
 
 
 def _knn_exact(X, d2, slack, start, k):

@@ -269,7 +269,6 @@ def encode_class_set(
     *,
     k: int = 1,
     seed: int = 0,
-    gmm_pool_policy: str = "all",
     normalize: bool = False,
     max_iter: int = 300,
     tol: float = 1e-7,
@@ -280,8 +279,7 @@ def encode_class_set(
     method "average" or "fisher" takes a list of VectorBag, one per class;
     method "td" takes a TermDocMatrix and passes its columns through. For
     "fisher", a single GMM with `k` components is fitted on the vectors of
-    all bags pooled together (policy "all" is the only pooling rule), then
-    every bag is encoded against it.
+    all bags pooled together, then every bag is encoded against it.
 
     Metrics follow the encoding: Euclidean for averages, cosine for Fisher
     and term-count representations.
@@ -315,8 +313,6 @@ def encode_class_set(
         return SemanticSpace(class_ids=tuple(ids), reps=np.vstack(reps), metric="euclidean")
 
     if method == "fisher":
-        if gmm_pool_policy != "all":
-            raise ValueError(f"unknown gmm_pool_policy {gmm_pool_policy!r}")
         pool = np.vstack([b.vectors for b in bags if b.size > 0])
         gmm = fit_diag_gmm(
             pool, k, max_iter=max_iter, tol=tol, var_floor=var_floor, seed=seed

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .embedding import _kmeanspp_indices
 from .errors import NumericalError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -98,24 +99,6 @@ def log_likelihood(gmm: DiagGmm, X) -> float:
     return float(logsumexp(weighted_log_densities(gmm, X), axis=1).sum())
 
 
-def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first point uniform, then proportional to squared
-    distance from the nearest already-chosen point."""
-    n = X.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)  # remaining points coincide with centers
-        chosen[j] = idx
-        d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
-    return chosen
-
-
 def _variance_floor(pool_var: np.ndarray, var_floor: float) -> np.ndarray:
     """Per-dimension lower bound: var_floor * pool variance, falling back to
     the absolute var_floor on dimensions with zero spread."""
@@ -169,7 +152,7 @@ def fit_diag_gmm(
         return DiagGmm(weights=gmm.weights, means=mu, variances=var, loglik_trace=trace)
 
     rng = np.random.default_rng(seed)
-    means = X[_kmeanspp_indices(X, k, rng)].copy()
+    means = X[_kmeanspp_indices(X, k, rng)]
     variances = np.maximum(np.tile(pool_var, (k, 1)), floor[None, :])
     weights = np.full(k, 1.0 / k)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,11 +61,29 @@ class EvalConfig:
             out.append("transductive")
         return out
 
+    def echo(self) -> dict:
+        """Every field as plain JSON values, for config echoes and reports."""
+        out = asdict(self)
+        out["cv_grid"] = {k: list(v) for k, v in self.cv_grid.items()}
+        return out
+
 
 def derive_seed(master: int, *path) -> int:
     """Stable integer sub-seed for a labelled position in the run tree."""
     seq = np.random.SeedSequence([int(master), *[int(p) for p in path]])
     return int(seq.generate_state(1)[0])
+
+
+# What each split seeds, in derivation order: role n of split i draws from
+# derive_seed(master, i, n).
+SPLIT_SEED_ROLES = ("holdout", "lsm", "kmeans", "kmeans_gzsl")
+
+
+def split_seeds(master: int, split_index: int) -> dict:
+    """The seeds of one split, by role; reports echo this table as is."""
+    return {
+        role: derive_seed(master, split_index, n) for n, role in enumerate(SPLIT_SEED_ROLES)
+    }
 
 
 def worker_count(n_tasks: int, requested: int | None = None) -> int:
@@ -84,10 +102,7 @@ def _clip_hyperparameters(cfg: EvalConfig, n_train: int, d_visual: int) -> EvalC
     d_latent = min(cfg.d_latent, d_visual, n_train - 1)
     n_neighbors = min(cfg.n_neighbors, n_train - 1)
     if d_latent != cfg.d_latent or n_neighbors != cfg.n_neighbors:
-        out = EvalConfig(**asdict(cfg))
-        out.d_latent = d_latent
-        out.n_neighbors = n_neighbors
-        return out
+        return replace(cfg, d_latent=d_latent, n_neighbors=n_neighbors)
     return cfg
 
 
@@ -136,14 +151,11 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
         raise DataError(f"semantic space lacks classes {sorted(missing)}")
     dist_sem = embedding.semantic_distance_matrix(space)
 
-    seed_holdout = derive_seed(cfg.seed, split.split_index, 0)
-    seed_lsm = derive_seed(cfg.seed, split.split_index, 1)
-    seed_kmeans = derive_seed(cfg.seed, split.split_index, 2)
-    seed_kmeans_gzsl = derive_seed(cfg.seed, split.split_index, 3)
+    seeds = split_seeds(cfg.seed, split.split_index)
 
     labels = np.asarray(labels)
     if cfg.gzsl:
-        part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seed_holdout)
+        part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seeds["holdout"])
         train_idx = part.train
         seen_test_idx = part.seen_test
         unseen_test_idx = part.unseen_test
@@ -154,7 +166,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
 
     model, _ = _fit_and_embed(
         features, labels, train_idx, sorted(split.seen), sorted(split.unseen),
-        dist_sem, class_order, cfg, seed_lsm,
+        dist_sem, class_order, cfg, seeds["lsm"],
     )
 
     unseen_ids = list(model.unseen_class_ids)
@@ -175,7 +187,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
                 unseen_ids,
                 model.unseen_embeddings,
                 metric=metric,
-                seed=seed_kmeans,
+                seed=seeds["kmeans"],
                 n_init=cfg.kmeans_n_init,
                 max_iter=cfg.kmeans_max_iter,
             )
@@ -205,7 +217,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
                 space_t.class_ids,
                 space_t.embeddings,
                 metric=metric,
-                seed=seed_kmeans_gzsl,
+                seed=seeds["kmeans_gzsl"],
                 n_init=cfg.kmeans_n_init,
                 max_iter=cfg.kmeans_max_iter,
             )
@@ -248,9 +260,8 @@ def select_hyperparameters(features, labels, space, seen_classes, cfg: EvalConfi
     grid_keys = list(cfg.cv_grid)
     best = None
     for combo_index, combo in enumerate(itertools.product(*cfg.cv_grid.values())):
-        trial = EvalConfig(**asdict(cfg))
-        for key, value in zip(grid_keys, combo):
-            setattr(trial, key, value)
+        chosen = dict(zip(grid_keys, combo))
+        trial = replace(cfg, **chosen)
         scores = [
             pseudo_czsl_accuracy(
                 features, labels, space, fold, trial,
@@ -260,7 +271,7 @@ def select_hyperparameters(features, labels, space, seen_classes, cfg: EvalConfi
         ]
         mean = float(np.mean(scores))
         if best is None or mean > best[0]:
-            best = (mean, dict(zip(grid_keys, combo)))
+            best = (mean, chosen)
     return best[1]
 
 
@@ -288,7 +299,7 @@ def run_evaluation(
         chosen = None
         if cfg.cv:
             chosen = select_hyperparameters(features, labels, space, split.seen, cfg)
-            split_cfg = EvalConfig(**{**asdict(cfg), **chosen})
+            split_cfg = replace(cfg, **chosen)
         metrics = evaluate_split(features, labels, space, split, split_cfg)
         if chosen:
             for setting in metrics:
@@ -302,19 +313,10 @@ def run_evaluation(
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(run_one, splits))
 
-    config_echo = asdict(cfg)
-    config_echo["cv_grid"] = {k: list(v) for k, v in cfg.cv_grid.items()}
+    config_echo = cfg.echo()
     seeds = {
         "master": cfg.seed,
-        "per_split": {
-            str(s.split_index): {
-                "holdout": derive_seed(cfg.seed, s.split_index, 0),
-                "lsm": derive_seed(cfg.seed, s.split_index, 1),
-                "kmeans": derive_seed(cfg.seed, s.split_index, 2),
-                "kmeans_gzsl": derive_seed(cfg.seed, s.split_index, 3),
-            }
-            for s in splits
-        },
+        "per_split": {str(s.split_index): split_seeds(cfg.seed, s.split_index) for s in splits},
     }
     reports = {}
     for setting in cfg.settings():

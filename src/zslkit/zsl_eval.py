@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .embedding import _exact_sq_dists, _nearest, _pairwise_sq_dists
+from .embedding import _exact_sq_dists, _kmeanspp_indices, _nearest, _pairwise_sq_dists
 from .errors import DataError
 
 METRIC_KEYS = ("A_UU", "A_UT", "A_ST", "H")
@@ -174,19 +174,6 @@ class KmeansResult:
     inertia: float
 
 
-def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((k, X.shape[1]))
-    idx = rng.integers(X.shape[0])
-    centers[0] = X[idx]
-    d2 = _pairwise_sq_dists(X, centers[:1])[:, 0]
-    for j in range(1, k):
-        total = d2.sum()
-        idx = rng.choice(X.shape[0], p=d2 / total) if total > 0 else rng.integers(X.shape[0])
-        centers[j] = X[idx]
-        d2 = np.minimum(d2, _pairwise_sq_dists(X, centers[j : j + 1])[:, 0])
-    return centers
-
-
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
     k = centers.shape[0]
     points = np.arange(X.shape[0])
@@ -232,7 +219,7 @@ def kmeans(points, k: int, *, seed: int = 0, max_iter: int = 100, n_init: int = 
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(1, n_init)):
-        result = _lloyd(X, _kmeanspp_centers(X, k, rng), max_iter)
+        result = _lloyd(X, X[_kmeanspp_indices(X, k, rng)], max_iter)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

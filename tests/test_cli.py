@@ -53,6 +53,48 @@ def synth_dir(tmp_path_factory):
     return out / "data"
 
 
+class TestParser:
+    # Each subcommand's flags, pinned so that the shared option helpers in
+    # build_parser can neither add nor drop one.
+    FLAGS = {
+        "encode": {"--config", "--embeddings", "--k", "--manifest", "--method",
+                   "--normalize", "--out", "--seed", "--stopwords"},
+        "evaluate": {"--config", "--cv", "--d-latent", "--manifest", "--n-seen",
+                     "--n-splits", "--neighbors", "--out", "--seed", "--settings",
+                     "--space", "--splits", "--transductive", "--width-scale",
+                     "--workers"},
+        "sweep": {"--axis", "--config", "--d-latent", "--embeddings", "--k",
+                  "--manifest", "--method", "--n-seen", "--n-splits", "--neighbors",
+                  "--normalize", "--out", "--seed", "--settings", "--splits",
+                  "--stopwords", "--transductive", "--values", "--width-scale",
+                  "--workers"},
+        "synth": {"--config", "--out", "--seed", "--spec"},
+        "report": {"--config", "--inputs", "--out", "--seed"},
+    }
+
+    @staticmethod
+    def subparsers():
+        from zslkit.cli import build_parser
+
+        parser = build_parser()
+        action = next(a for a in parser._actions if a.dest == "command")
+        return action.choices
+
+    def test_flags_pinned(self):
+        subs = self.subparsers()
+        assert set(subs) == set(self.FLAGS)
+        for name, sub in subs.items():
+            flags = {o for a in sub._actions if a.dest != "help" for o in a.option_strings}
+            assert flags == self.FLAGS[name], name
+
+    def test_eval_dests_pinned(self):
+        subs = self.subparsers()
+        for name in ("evaluate", "sweep"):
+            dests = {a.dest for a in subs[name]._actions if a.dest != "help"}
+            want = {f.lstrip("-").replace("-", "_") for f in self.FLAGS[name]}
+            assert dests == want, name
+
+
 class TestSynthCommand:
     def test_outputs_exist(self, synth_dir):
         for name in ("manifest.json", "features.zmat", "labels.txt", "space.json",

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from zslkit.data_io import (
     save_latent_model,
     load_latent_model,
     subsample_bag,
+    write_json,
 )
 from zslkit.embedding import LatentModel
 from zslkit.encoders import SemanticSpace, VectorBag
@@ -81,6 +83,30 @@ class TestMatrixFormat:
         path = tmp_path / "labels.txt"
         save_labels(labels, path)
         assert np.array_equal(load_labels(path), labels)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: save_matrix(np.ones((2, 3)), path),
+            lambda path: save_labels(np.array([1, 2]), path),
+            lambda path: write_json({"a": 1}, path),
+        ],
+        ids=["save_matrix", "save_labels", "write_json"],
+    )
+    def test_failed_rename_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"previous contents")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            write(target)
+        assert target.read_bytes() == b"previous contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
 
 
 class TestClassSplits:

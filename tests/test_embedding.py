@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zslkit.embedding import (
+    _kmeanspp_indices,
     _pairwise_sq_dists,
     class_landmarks,
     knn_affinity,
@@ -92,6 +93,39 @@ class TestDistanceKernel:
         assert np.all(np.diag(got) == 0.0)
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         assert np.all(got >= 0.0)
+
+
+def kmeanspp_reference(X, k, rng):
+    """Test-side k-means++ seeding by explicit differences."""
+    n = X.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
+    return np.array(chosen)
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_matches_explicit_reference_and_rng_state(self, k, offset):
+        X = grid_points(np.random.default_rng(20), 60, 3, offset)
+        for seed in range(10):
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _kmeanspp_indices(X, k, rng_got)
+            want = kmeanspp_reference(X, k, rng_want)
+            np.testing.assert_array_equal(got, want)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_all_coincident_rows_draw_uniformly(self):
+        X = np.full((7, 3), 2.5)
+        rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+        got = _kmeanspp_indices(X, 5, rng_got)
+        np.testing.assert_array_equal(got, kmeanspp_reference(X, 5, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class TestKnnAffinity:
