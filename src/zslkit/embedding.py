@@ -251,11 +251,13 @@ def median_pairwise_distance(X) -> float:
     """Median of the positive pairwise Euclidean distances."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d2 = _pairwise_sq_dists(X, X)
-    upper = d2[np.triu_indices(X.shape[0], k=1)]
-    positive = upper[upper > 0]
+    for i in range(X.shape[0]):  # keep the strict upper triangle only
+        d2[i, : i + 1] = 0.0
+    positive = d2[d2 > 0]
+    del d2
     if positive.size == 0:
         raise DataError("all points coincide; no positive pairwise distance")
-    return float(np.sqrt(np.median(positive)))
+    return float(np.sqrt(np.median(positive, overwrite_input=True)))
 
 
 def slpp_fit(

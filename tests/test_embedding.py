@@ -260,6 +260,44 @@ class TestSlpp:
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
 
 
+class TestMedianPairwiseDistance:
+    @staticmethod
+    def triu_reference(X):
+        d2 = _pairwise_sq_dists(X, X)
+        upper = d2[np.triu_indices(X.shape[0], k=1)]
+        return float(np.sqrt(np.median(upper[upper > 0])))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 9, 60, 201])
+    def test_matches_upper_triangle_reference(self, n, offset):
+        # tie-rich grid points, a fifth of them duplicated
+        X = grid_points(np.random.default_rng(n), n, 3, offset)
+        if np.all(X == X[0]):
+            X[-1] += 0.1
+        assert median_pairwise_distance(X) == self.triu_reference(X)
+
+    def test_duplicating_every_point_matches_reference(self):
+        X = make_blobs(np.random.default_rng(21), per_class=15, d=4)[0]
+        X = np.vstack([X, X])
+        assert median_pairwise_distance(X) == self.triu_reference(X)
+
+    def test_all_coincident_is_data_error(self):
+        with pytest.raises(DataError, match="coincide"):
+            median_pairwise_distance(np.ones((5, 3)))
+
+    def test_memory_at_n2000(self):
+        # the (n, n) distance matrix alone is 30.5 MB; upper-triangle index
+        # arrays would add two int64 arrays of n(n-1)/2 entries (32 MB)
+        X = np.random.default_rng(22).normal(size=(2000, 16))
+        tracemalloc.start()
+        try:
+            median_pairwise_distance(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20
+
+
 class TestPaperScaleMemory:
     def test_graph_stage_at_d4096_within_memory_bound(self):
         # the distance stages of slpp_fit at a 4,096-d CNN feature; an
