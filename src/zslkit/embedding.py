@@ -25,6 +25,13 @@ if TYPE_CHECKING:  # encoders imports gmm, which imports this module
     from .encoders import SemanticSpace
 
 _MIN_STEP = 1e-30
+# Final Sammon stresses closer than this are tied and the earlier restart
+# wins. The stress is normalised by the summed target distances, so one
+# absolute bound serves every scale: it lies above the rounding of a stress
+# evaluation, and below the stress of any placement that does not fit its
+# targets exactly. Exact fits (d_latent >= landmarks) end in 1e-25..1e-12,
+# depending on where each descent stopped, and count as equal.
+_STRESS_TIE = 1e-12
 _EPS = np.finfo(np.float64).eps
 # Bytes of temporaries one block of a distance computation may allocate.
 _BLOCK_BYTES = 16 * 2**20
@@ -441,10 +448,10 @@ def lsm_embed(
 
     Each restart initializes an unseen class at the inverse-distance
     weighted average of the landmarks plus seeded jitter of width 1e-3 and
-    descends with step halving; the restart with the lowest final stress
-    wins, ties broken by restart index. Passing `init` (an (n_unseen,
-    d_latent) array) replaces the seeded initialization and runs a single
-    descent.
+    descends with step halving. A later restart replaces the best one only
+    when its final stress is lower by more than _STRESS_TIE, so ties go to
+    the earliest restart. Passing `init` (an (n_unseen, d_latent) array)
+    replaces the seeded initialization and runs a single descent.
 
     Returns (unseen_embeddings, StressTrace) with rows ordered by ascending
     unseen class id.
@@ -538,7 +545,7 @@ def lsm_embed(
     best = None
     for r, Y0 in enumerate(starts):
         Y, trace = _descend(Y0, evaluate, gradient, lr, max_iter, tol)
-        if best is None or trace[-1] < best[2][-1]:
+        if best is None or trace[-1] < best[2][-1] - _STRESS_TIE:
             best = (r, Y, trace)
     r, Y, trace = best
     return Y, StressTrace(stresses=trace, final_stress=float(trace[-1]), restart_index=r)

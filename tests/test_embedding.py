@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zslkit import embedding
 from zslkit.embedding import (
     _kmeanspp_indices,
     _pairwise_sq_dists,
@@ -449,6 +450,47 @@ class TestLsmEmbed:
             )
             assert np.all(np.diff(trace.stresses) <= 0)
             assert trace.final_stress <= trace.stresses[0]
+
+    @staticmethod
+    def planted_instance(instance):
+        """4 landmarks and 2 unseen classes at planted points in 8-D, so
+        d_latent >= landmarks and the targets can be fitted exactly."""
+        pts = np.random.default_rng(instance).normal(size=(6, 8))
+        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        return pts[:4], [0, 1, 2, 3], dist, list(range(6)), [4, 5]
+
+    @pytest.mark.parametrize("instance,seed", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_exact_fit_restarts_tie_to_the_first(self, instance, seed):
+        # every exact fit is optimal; restarts end at stresses below 1e-12
+        # that differ only by where each descent stopped
+        _, trace = lsm_embed(
+            *self.planted_instance(instance), seed=seed, restarts=3, max_iter=500
+        )
+        assert trace.final_stress < 1e-12
+        assert trace.restart_index == 0
+
+    def test_clearly_lower_later_restart_wins(self, monkeypatch):
+        finals = []
+        descend = embedding._descend
+
+        def recording(*args, **kwargs):
+            Y, trace = descend(*args, **kwargs)
+            finals.append(trace[-1])
+            return Y, trace
+
+        monkeypatch.setattr(embedding, "_descend", recording)
+        chosen = []
+        for seed in range(4):
+            finals.clear()
+            _, trace = lsm_embed(
+                *self.planted_instance(2), seed=seed, restarts=3, max_iter=500
+            )
+            best = int(np.argmin(finals))
+            assert min(finals) < finals[0] - 1e-12 or best == 0
+            assert trace.restart_index == best
+            assert trace.final_stress == finals[best]
+            chosen.append(best)
+        assert any(chosen)
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(14)
