@@ -261,7 +261,6 @@ def median_pairwise_distance(X) -> float:
     for i in range(X.shape[0]):  # keep the strict upper triangle only
         d2[i, : i + 1] = 0.0
     positive = d2[d2 > 0]
-    del d2
     if positive.size == 0:
         raise DataError("all points coincide; no positive pairwise distance")
     return float(np.sqrt(np.median(positive, overwrite_input=True)))
