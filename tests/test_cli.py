@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zslkit.cli import build_parser
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -74,8 +76,6 @@ class TestParser:
 
     @staticmethod
     def subparsers():
-        from zslkit.cli import build_parser
-
         parser = build_parser()
         action = next(a for a in parser._actions if a.dest == "command")
         return action.choices
