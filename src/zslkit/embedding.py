@@ -25,12 +25,12 @@ if TYPE_CHECKING:  # encoders imports gmm, which imports this module
     from .encoders import SemanticSpace
 
 _MIN_STEP = 1e-30
-# Final Sammon stresses closer than this are tied and the earlier restart
+# Final Sammon stresses closer than this are tied, and the earlier restart
 # wins. The stress is normalised by the summed target distances, so one
-# absolute bound serves every scale: it lies above the rounding of a stress
-# evaluation, and below the stress of any placement that does not fit its
-# targets exactly. Exact fits (d_latent >= landmarks) end in 1e-25..1e-12,
-# depending on where each descent stopped, and count as equal.
+# absolute bound serves every scale. When d_latent >= the landmark count,
+# exact fits form a continuum and restarts end anywhere below about 1e-12,
+# depending on where each descent stopped; inexact placements on the
+# benchmark workloads end at 1e-4..1e-3, far above the bound.
 _STRESS_TIE = 1e-12
 _EPS = np.finfo(np.float64).eps
 # Bytes of temporaries one block of a distance computation may allocate.
