@@ -212,11 +212,10 @@ def _load_eval_inputs(args, config):
     return dataset, space, splits, method
 
 
-def _run_and_write_reports(dataset, space, splits, cfg, method, out_dir, workers=None,
+def _run_and_write_reports(dataset, space, splits, cfg, method, out_dir,
                            splits_path_written=None):
     reports = pipeline.run_evaluation(
-        dataset.name, dataset.features, dataset.labels, space, splits, cfg,
-        method=method, workers=workers,
+        dataset.name, dataset.features, dataset.labels, space, splits, cfg, method=method,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -225,7 +224,7 @@ def _run_and_write_reports(dataset, space, splits, cfg, method, out_dir, workers
         zsl_eval.save_report(report, path)
         written.append(path)
     csv_path = out_dir / "report.csv"
-    csv_path.write_text(zsl_eval.reports_to_csv(reports.values()), encoding="utf-8")
+    data_io._atomic_write(csv_path, zsl_eval.reports_to_csv(reports.values()).encode("utf-8"))
     written.append(csv_path)
     if splits_path_written:
         data_io.save_splits(splits, splits_path_written, dataset=dataset.name)
@@ -242,7 +241,6 @@ def cmd_evaluate(args) -> int:
     splits_written = None if _resolve(args, config, "splits", None) else out_dir / "splits.json"
     reports, written = _run_and_write_reports(
         dataset, space, splits, cfg, method, out_dir,
-        workers=_resolve(args, config, "workers", None),
         splits_path_written=splits_written,
     )
     echo = {"command": "evaluate", "dataset": dataset.name, "method": method,
@@ -306,7 +304,7 @@ def cmd_sweep(args) -> int:
             notes[str(value)] = note
         reports = pipeline.run_evaluation(
             dataset.name, dataset.features, dataset.labels, space, splits, cfg,
-            method=method, workers=_resolve(args, config, "workers", None),
+            method=method,
         )
         for setting, report in reports.items():
             for metric, mean in report.mean.items():
@@ -315,7 +313,7 @@ def cmd_sweep(args) -> int:
     lines = ["axis_value,metric,mean,stderr"]
     lines += [f"{v},{m},{mean!r},{se!r}" for v, m, mean, se in rows]
     csv_path = out_dir / "sweep.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data_io._atomic_write(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
     echo = {
         "command": "sweep",
         "axis": axis,
@@ -356,7 +354,7 @@ def cmd_report(args) -> int:
     text = zsl_eval.reports_to_csv(reports)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        data_io._atomic_write(out, text.encode("utf-8"))
         print(out)
     else:
         sys.stdout.write(text)
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--width-scale", dest="width_scale", type=float,
                        help="kernel width as a multiple of the median distance")
         p.add_argument("--workers", type=int,
-                       help="thread pool size (capped by ZSLKIT_THREADS)")
+                       help="accepted and ignored; splits run serially")
 
     p = sub.add_parser("encode", help="encode a semantic space from class sources")
     add_common(p)

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import SemanticSpace, VectorBag
-from .embedding import LatentModel
 from .errors import DataError
 
 _MAGIC = "ZMAT"
@@ -415,49 +414,3 @@ def load_semantic_space(sidecar_path) -> SemanticSpace:
         raise DataError(f"cannot read semantic-space sidecar {sidecar_path}: {e}") from e
     reps = load_matrix(sidecar_path.parent / matrix_name)
     return SemanticSpace(class_ids=class_ids, reps=reps, metric=metric)
-
-
-def save_latent_model(model: LatentModel, out_dir, stem: str = "latent_model", extra=None):
-    """Write a LatentModel as ZMAT matrices plus a JSON sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sidecar = {
-        "d_latent": model.d_latent,
-        "projection": f"{stem}_projection.zmat",
-        "seen_class_ids": list(model.seen_class_ids),
-        "unseen_class_ids": list(model.unseen_class_ids),
-        "landmarks": None,
-        "unseen_embeddings": None,
-    }
-    save_matrix(model.projection, out_dir / sidecar["projection"])
-    if model.seen_landmarks is not None:
-        sidecar["landmarks"] = f"{stem}_landmarks.zmat"
-        save_matrix(model.seen_landmarks, out_dir / sidecar["landmarks"])
-    if model.unseen_embeddings is not None:
-        sidecar["unseen_embeddings"] = f"{stem}_unseen.zmat"
-        save_matrix(model.unseen_embeddings, out_dir / sidecar["unseen_embeddings"])
-    if extra:
-        sidecar.update(extra)
-    write_json(sidecar, out_dir / f"{stem}.json")
-    return out_dir / f"{stem}.json"
-
-
-def load_latent_model(sidecar_path) -> LatentModel:
-    sidecar_path = Path(sidecar_path)
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        projection = load_matrix(sidecar_path.parent / sidecar["projection"])
-        model = LatentModel(projection=projection, d_latent=int(sidecar["d_latent"]))
-        if sidecar.get("landmarks"):
-            model = model.with_landmarks(
-                sidecar["seen_class_ids"],
-                load_matrix(sidecar_path.parent / sidecar["landmarks"]),
-            )
-        if sidecar.get("unseen_embeddings"):
-            model = model.with_unseen(
-                sidecar["unseen_class_ids"],
-                load_matrix(sidecar_path.parent / sidecar["unseen_embeddings"]),
-            )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"cannot read latent-model sidecar {sidecar_path}: {e}") from e
-    return model

@@ -5,23 +5,20 @@ requested, fit the supervised projection on the training examples, average
 per-class landmarks, place unseen classes by landmark Sammon mapping
 against the semantic distances, then score every requested setting.
 
-Splits run in a thread pool; each split derives its own seeds from the
-master seed and the split index, so reports are identical for any worker
-count.
+Splits run one after another, in split order, on the calling thread; each
+split derives its own seeds from the master seed and the split index.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import data_io, embedding, zsl_eval
 from .encoders import SemanticSpace
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .zsl_eval import SearchSpace
 
 DEFAULT_CV_GRID = {
@@ -84,18 +81,6 @@ def split_seeds(master: int, split_index: int) -> dict:
     return {
         role: derive_seed(master, split_index, n) for n, role in enumerate(SPLIT_SEED_ROLES)
     }
-
-
-def worker_count(n_tasks: int, requested: int | None = None) -> int:
-    """Threads for a pool of n_tasks, capped by the ZSLKIT_THREADS env var."""
-    workers = requested if requested else (os.cpu_count() or 1)
-    cap = os.environ.get("ZSLKIT_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError as e:
-            raise ConfigError(f"ZSLKIT_THREADS must be an integer, got {cap!r}") from e
-    return max(1, min(workers, n_tasks))
 
 
 def _clip_hyperparameters(cfg: EvalConfig, n_train: int, d_visual: int) -> EvalConfig:
@@ -289,12 +274,13 @@ def run_evaluation(
 
     With cfg.cv enabled, hyperparameters are re-selected per split by
     class-wise cross-validation on that split's seen classes before the
-    split is scored.
+    split is scored. Splits run serially; workers is accepted and ignored.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
 
-    def run_one(split):
+    results = []
+    for split in splits:
         split_cfg = cfg
         chosen = None
         if cfg.cv:
@@ -304,14 +290,7 @@ def run_evaluation(
         if chosen:
             for setting in metrics:
                 metrics[setting]["cv_selected"] = chosen
-        return metrics
-
-    pool_size = worker_count(len(splits), workers)
-    if pool_size == 1:
-        results = [run_one(s) for s in splits]
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(run_one, splits))
+        results.append(metrics)
 
     config_echo = cfg.echo()
     seeds = {

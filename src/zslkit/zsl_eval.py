@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .data_io import _atomic_write
 from .embedding import _exact_sq_dists, _kmeanspp_indices, _nearest, _pairwise_sq_dists
 from .errors import DataError
 
@@ -197,8 +198,10 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assignments, X)
+        # a weighted bincount adds each cluster's rows in row order
+        sums = np.column_stack(
+            [np.bincount(assignments, weights=col, minlength=k) for col in X.T]
+        )
         centers = sums / np.bincount(assignments, minlength=k)[:, None]
     assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers))
     inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
@@ -376,7 +379,7 @@ def report_to_json(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")
+    _atomic_write(path, report_to_json(report).encode("utf-8"))
 
 
 def load_report(path) -> EvalReport:

@@ -20,14 +20,12 @@ from zslkit.data_io import (
     save_matrix,
     save_semantic_space,
     save_splits,
-    save_latent_model,
-    load_latent_model,
     subsample_bag,
     write_json,
 )
-from zslkit.embedding import LatentModel
 from zslkit.encoders import SemanticSpace, VectorBag
 from zslkit.errors import DataError
+from zslkit.zsl_eval import build_report, save_report
 
 
 class TestMatrixFormat:
@@ -92,8 +90,11 @@ class TestAtomicWrites:
             lambda path: save_matrix(np.ones((2, 3)), path),
             lambda path: save_labels(np.array([1, 2]), path),
             lambda path: write_json({"a": 1}, path),
+            lambda path: save_report(
+                build_report("d", "m", "inductive", [{"split_index": 0, "A_UU": 0.5}]), path
+            ),
         ],
-        ids=["save_matrix", "save_labels", "write_json"],
+        ids=["save_matrix", "save_labels", "write_json", "save_report"],
     )
     def test_failed_rename_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch, write):
         target = tmp_path / "out.bin"
@@ -307,20 +308,6 @@ class TestSemanticSpaceFiles:
         assert np.array_equal(loaded.reps, space.reps)
         meta = json.loads(sidecar.read_text())
         assert meta["method"] == "ffv"
-
-
-class TestLatentModelFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        model = LatentModel(projection=rng.normal(size=(6, 2)), d_latent=2)
-        model = model.with_landmarks([0, 1], rng.normal(size=(2, 2)))
-        model = model.with_unseen([2, 3, 4], rng.normal(size=(3, 2)))
-        sidecar = save_latent_model(model, tmp_path, extra={"seed": 5})
-        loaded = load_latent_model(sidecar)
-        assert np.array_equal(loaded.projection, model.projection)
-        assert loaded.seen_class_ids == (0, 1)
-        assert loaded.unseen_class_ids == (2, 3, 4)
-        assert np.array_equal(loaded.unseen_embeddings, model.unseen_embeddings)
 
 
 class TestDatasetManifest:

@@ -1,8 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
 from zslkit import data_io, pipeline, synth
-from zslkit.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -25,21 +26,6 @@ class TestDeriveSeed:
     def test_distinct_paths(self):
         seeds = {pipeline.derive_seed(3, i, j) for i in range(5) for j in range(3)}
         assert len(seeds) == 15
-
-
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("ZSLKIT_THREADS", "2")
-        assert pipeline.worker_count(8, requested=6) == 2
-
-    def test_task_bound(self, monkeypatch):
-        monkeypatch.delenv("ZSLKIT_THREADS", raising=False)
-        assert pipeline.worker_count(1, requested=8) == 1
-
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("ZSLKIT_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            pipeline.worker_count(4)
 
 
 class TestEvaluateSplit:
@@ -93,6 +79,22 @@ class TestRunEvaluation:
                                     cfg, method="m", workers=3)
         for setting in a:
             assert a[setting].splits == b[setting].splits
+
+    def test_splits_run_serially_on_calling_thread(self, planted, monkeypatch):
+        ds, space, splits = planted
+        cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, transductive=False, seed=1)
+        evaluate = pipeline.evaluate_split
+        calls = []
+
+        def recording(features, labels, space, split, cfg):
+            calls.append((split.split_index, threading.get_ident()))
+            return evaluate(features, labels, space, split, cfg)
+
+        monkeypatch.setattr(pipeline, "evaluate_split", recording)
+        pipeline.run_evaluation(ds.name, ds.features, ds.labels, space, splits[:2],
+                                cfg, method="m", workers=4)
+        me = threading.get_ident()
+        assert calls == [(s.split_index, me) for s in splits[:2]]
 
     def test_seeds_echo_lists_every_derived_seed(self, planted, monkeypatch):
         ds, space, splits = planted
