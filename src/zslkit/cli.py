@@ -59,27 +59,13 @@ def _token_docs(dataset, stopword_path):
     return docs
 
 
-def _image_bags(dataset, images_per_class=None, seed=0):
-    bags, clipped = [], []
-    for info in dataset.classes:
-        bag = dataset.load_image_bag(info.id)
-        if images_per_class is not None:
-            if bag.size < images_per_class:
-                clipped.append(info.id)
-            bag = data_io.subsample_bag(bag, images_per_class, seed=pipeline.derive_seed(seed, info.id))
-        bags.append(bag)
-    return bags, clipped
-
-
-def _encode_space(dataset, method, k, seed, normalize, stopwords, embeddings,
-                  images_per_class=None):
-    """Build the semantic space for one method; returns (space, notes)."""
+def _load_sources(dataset, method, stopwords, embeddings):
+    """Read what a method encodes: token docs (td), word-vector bags (awv,
+    fwv) or image bags (afv, ffv); returns (sources, notes)."""
     notes = {}
-    if method in ("awv", "fwv", "td"):
-        if method == "td":
-            docs = _token_docs(dataset, stopwords)
-            td = corpus.term_document_matrix(docs, corpus.build_vocabulary(docs))
-            return encoders.encode_class_set(td, "td"), notes
+    if method == "td":
+        return _token_docs(dataset, stopwords), notes
+    if method in ("awv", "fwv"):
         if embeddings:
             table_path = embeddings
         elif dataset.word_vectors:
@@ -98,19 +84,32 @@ def _encode_space(dataset, method, k, seed, normalize, stopwords, embeddings,
                 skipped[str(doc.class_id)] = n_skipped
         if skipped:
             notes["skipped_tokens"] = skipped
-        if method == "awv":
-            return encoders.encode_class_set(bags, "average"), notes
-        return encoders.encode_class_set(bags, "fisher", k=k, seed=seed, normalize=normalize), notes
-
+        return bags, notes
     if method in ("afv", "ffv"):
-        bags, clipped = _image_bags(dataset, images_per_class, seed)
+        return [dataset.load_image_bag(info.id) for info in dataset.classes], notes
+    raise ConfigError(f"unknown method {method!r}")
+
+
+def _encode_space(sources, method, k, seed, normalize, images_per_class=None):
+    """Build the semantic space from loaded sources, first subsampling each
+    image bag to images_per_class if given; returns (space, notes)."""
+    notes = {}
+    if method == "td":
+        td = corpus.term_document_matrix(sources, corpus.build_vocabulary(sources))
+        return encoders.encode_class_set(td, "td"), notes
+    if images_per_class is not None:
+        clipped = [bag.class_id for bag in sources if bag.size < images_per_class]
         if clipped:
             notes["clipped_classes"] = clipped
-        if method == "afv":
-            return encoders.encode_class_set(bags, "average"), notes
-        return encoders.encode_class_set(bags, "fisher", k=k, seed=seed, normalize=normalize), notes
-
-    raise ConfigError(f"unknown method {method!r}")
+        sources = [
+            data_io.subsample_bag(
+                bag, images_per_class, seed=pipeline.derive_seed(seed, bag.class_id)
+            )
+            for bag in sources
+        ]
+    if method in ("awv", "afv"):
+        return encoders.encode_class_set(sources, "average"), notes
+    return encoders.encode_class_set(sources, "fisher", k=k, seed=seed, normalize=normalize), notes
 
 
 def _validate_method(method, k):
@@ -132,11 +131,12 @@ def cmd_encode(args) -> int:
     _validate_method(method, k)
 
     dataset = data_io.load_dataset(_resolve(args, config, "manifest", None) or _missing("manifest"))
-    space, notes = _encode_space(
-        dataset, method, k, seed, normalize,
+    sources, notes = _load_sources(
+        dataset, method,
         _resolve(args, config, "stopwords", None),
         _resolve(args, config, "embeddings", None),
     )
+    space, _ = _encode_space(sources, method, k, seed, normalize)
     out_dir.mkdir(parents=True, exist_ok=True)
     extra = {"method": method, "dataset": dataset.name}
     if method in FISHER_METHODS:
@@ -284,16 +284,19 @@ def cmd_sweep(args) -> int:
     out_dir = Path(_resolve(args, config, "out", "sweep_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    stopwords = _resolve(args, config, "stopwords", None)
-    embeddings = _resolve(args, config, "embeddings", None)
+    sources, load_notes = _load_sources(
+        dataset, method,
+        _resolve(args, config, "stopwords", None),
+        _resolve(args, config, "embeddings", None),
+    )
     rows = []
     notes = {}
     for value in values:
         space, note = _encode_space(
-            dataset, method, value if axis == "k" else k, seed, normalize,
-            stopwords, embeddings,
+            sources, method, value if axis == "k" else k, seed, normalize,
             images_per_class=value if axis == "images" else None,
         )
+        note = {**load_notes, **note}
         if note.get("clipped_classes"):
             print(
                 f"note: axis value {value} exceeds some bags; full bags used "

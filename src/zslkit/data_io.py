@@ -333,17 +333,12 @@ def gzsl_holdout(labels, split: ClassSplit, fraction: float = 0.2, seed: int = 0
     )
 
 
-@dataclass(frozen=True)
-class CvFold:
-    """One class-wise fold: a pseudo-unseen group and the remaining classes."""
-
-    pseudo_unseen: tuple[int, ...]
-    pseudo_seen: tuple[int, ...]
-    fold_index: int
-
-
 def cv_folds(seen_classes, n_folds: int, seed: int) -> list:
-    """Partition the seen classes into balanced disjoint pseudo-unseen groups."""
+    """Partition the seen classes into balanced disjoint held-out groups.
+
+    Fold i is a ClassSplit with split_index i: the held-out group is its
+    unseen set and the remaining classes are its seen set.
+    """
     classes = sorted(int(c) for c in seen_classes)
     if n_folds < 1 or n_folds > len(classes):
         raise ValueError(f"n_folds must be in [1, {len(classes)}], got {n_folds}")
@@ -356,7 +351,7 @@ def cv_folds(seen_classes, n_folds: int, seed: int) -> list:
         group = tuple(sorted(shuffled[start : start + size]))
         start += size
         rest = tuple(sorted(set(classes) - set(group)))
-        folds.append(CvFold(pseudo_unseen=group, pseudo_seen=rest, fold_index=fold_index))
+        folds.append(ClassSplit(seen=rest, unseen=group, split_index=fold_index, seed=seed))
     return folds
 
 

@@ -175,25 +175,6 @@ def load_word_vectors(path) -> WordVectorTable:
     return WordVectorTable(_load_word_vectors_binary(payload, count, dim, path), dim)
 
 
-def save_word_vectors_text(table: WordVectorTable, path) -> None:
-    """Write a table in the text layout, terms in sorted order."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{len(table)} {table.dim}\n")
-        for term in sorted(table.vectors):
-            values = " ".join(repr(float(x)) for x in table.vectors[term])
-            f.write(f"{term} {values}\n")
-
-
-def save_word_vectors_binary(table: WordVectorTable, path) -> None:
-    """Write a table in the binary float32 layout, terms in sorted order."""
-    with open(path, "wb") as f:
-        f.write(f"{len(table)} {table.dim}\n".encode("utf-8"))
-        for term in sorted(table.vectors):
-            f.write(term.encode("utf-8") + b" ")
-            f.write(table.vectors[term].astype("<f4").tobytes())
-            f.write(b"\n")
-
-
 def lookup_word_vectors(doc: TokenDoc, table: WordVectorTable) -> tuple[VectorBag, int]:
     """Convert a token document to a bag of word vectors.
 

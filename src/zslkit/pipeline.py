@@ -35,15 +35,10 @@ class EvalConfig:
     d_latent: int = 20
     n_neighbors: int = 10
     width_scale: float = 1.0
-    width: float | None = None
     holdout_fraction: float = 0.2
-    lsm_lr: float = 0.1
     lsm_max_iter: int = 2000
     lsm_restarts: int = 5
     lsm_tol: float = 1e-9
-    latent_metric: str = "euclidean"
-    kmeans_n_init: int = 5
-    kmeans_max_iter: int = 100
     czsl: bool = True
     gzsl: bool = True
     transductive: bool = True
@@ -72,8 +67,9 @@ def derive_seed(master: int, *path) -> int:
 
 
 # What each split seeds, in derivation order: role n of split i draws from
-# derive_seed(master, i, n).
-SPLIT_SEED_ROLES = ("holdout", "lsm", "kmeans", "kmeans_gzsl")
+# derive_seed(master, i, n). "cv" is the master seed of the split's
+# cross-validation: its folds and, through this same table, their LSM starts.
+SPLIT_SEED_ROLES = ("holdout", "lsm", "kmeans", "kmeans_gzsl", "cv")
 
 
 def split_seeds(master: int, split_index: int) -> dict:
@@ -89,39 +85,6 @@ def _clip_hyperparameters(cfg: EvalConfig, n_train: int, d_visual: int) -> EvalC
     if d_latent != cfg.d_latent or n_neighbors != cfg.n_neighbors:
         return replace(cfg, d_latent=d_latent, n_neighbors=n_neighbors)
     return cfg
-
-
-def _fit_and_embed(features, labels, train_idx, seen_ids, unseen_ids, dist_sem,
-                   class_order, cfg: EvalConfig, lsm_seed: int):
-    """Shared core: projection, landmarks, unseen placement."""
-    X_train = features[train_idx]
-    y_train = labels[train_idx]
-    cfg = _clip_hyperparameters(cfg, X_train.shape[0], X_train.shape[1])
-    model = embedding.slpp_fit(
-        X_train,
-        y_train,
-        d_latent=cfg.d_latent,
-        n_neighbors=cfg.n_neighbors,
-        width=cfg.width,
-        width_scale=cfg.width_scale,
-    )
-    latent_train = embedding.project(model, X_train)
-    ids, landmarks = embedding.class_landmarks(latent_train, y_train, class_ids=seen_ids)
-    unseen_sorted = sorted(int(c) for c in unseen_ids)
-    unseen_emb, trace = embedding.lsm_embed(
-        landmarks,
-        ids.tolist(),
-        dist_sem,
-        class_order,
-        unseen_sorted,
-        lr=cfg.lsm_lr,
-        max_iter=cfg.lsm_max_iter,
-        tol=cfg.lsm_tol,
-        restarts=cfg.lsm_restarts,
-        seed=lsm_seed,
-    )
-    model = model.with_landmarks(ids.tolist(), landmarks).with_unseen(unseen_sorted, unseen_emb)
-    return model, trace
 
 
 def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfig) -> dict:
@@ -149,32 +112,35 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
         seen_test_idx = np.zeros(0, dtype=np.int64)
         unseen_test_idx = np.flatnonzero(np.isin(labels, list(split.unseen)))
 
-    model, _ = _fit_and_embed(
-        features, labels, train_idx, sorted(split.seen), sorted(split.unseen),
-        dist_sem, class_order, cfg, seeds["lsm"],
+    X_train = features[train_idx]
+    y_train = labels[train_idx]
+    cfg = _clip_hyperparameters(cfg, X_train.shape[0], X_train.shape[1])
+    model = embedding.slpp_fit(
+        X_train, y_train, d_latent=cfg.d_latent, n_neighbors=cfg.n_neighbors,
+        width_scale=cfg.width_scale,
     )
+    ids, landmarks = embedding.class_landmarks(
+        embedding.project(model, X_train), y_train, class_ids=sorted(split.seen)
+    )
+    unseen_ids = sorted(int(c) for c in split.unseen)
+    unseen_emb, _ = embedding.lsm_embed(
+        landmarks, ids.tolist(), dist_sem, class_order, unseen_ids,
+        max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol, restarts=cfg.lsm_restarts,
+        seed=seeds["lsm"],
+    )
+    model = model.with_landmarks(ids.tolist(), landmarks).with_unseen(unseen_ids, unseen_emb)
 
-    unseen_ids = list(model.unseen_class_ids)
     unseen_pts = embedding.project(model, features[unseen_test_idx])
     unseen_truth = labels[unseen_test_idx]
-    metric = cfg.latent_metric
 
     out = {s: {"split_index": split.split_index} for s in cfg.settings()}
 
     if cfg.czsl:
         space_u = SearchSpace.unseen_only(unseen_ids, model.unseen_embeddings)
-        out["inductive"]["A_UU"] = zsl_eval.evaluate_czsl(
-            unseen_pts, unseen_truth, space_u, metric
-        )
+        out["inductive"]["A_UU"] = zsl_eval.evaluate_czsl(unseen_pts, unseen_truth, space_u)
         if cfg.transductive:
             pred = zsl_eval.transductive_predict(
-                unseen_pts,
-                unseen_ids,
-                model.unseen_embeddings,
-                metric=metric,
-                seed=seeds["kmeans"],
-                n_init=cfg.kmeans_n_init,
-                max_iter=cfg.kmeans_max_iter,
+                unseen_pts, unseen_ids, model.unseen_embeddings, seed=seeds["kmeans"]
             )
             out["transductive"]["A_UU"] = zsl_eval.per_class_accuracy(
                 pred, unseen_truth, unseen_ids
@@ -189,22 +155,14 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
             unseen_ids,
             model.unseen_embeddings,
         )
-        scores = zsl_eval.evaluate_gzsl(
-            unseen_pts, unseen_truth, seen_pts, seen_truth, space_t, metric
-        )
+        scores = zsl_eval.evaluate_gzsl(unseen_pts, unseen_truth, seen_pts, seen_truth, space_t)
         out["inductive"].update(
             {"A_UT": scores.a_unseen, "A_ST": scores.a_seen, "H": scores.harmonic}
         )
         if cfg.transductive:
             combined = np.vstack([unseen_pts, seen_pts])
             pred = zsl_eval.transductive_predict(
-                combined,
-                space_t.class_ids,
-                space_t.embeddings,
-                metric=metric,
-                seed=seeds["kmeans_gzsl"],
-                n_init=cfg.kmeans_n_init,
-                max_iter=cfg.kmeans_max_iter,
+                combined, space_t.class_ids, space_t.embeddings, seed=seeds["kmeans_gzsl"]
             )
             n_u = unseen_pts.shape[0]
             a_ut = zsl_eval.per_class_accuracy(
@@ -219,39 +177,26 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     return out
 
 
-def pseudo_czsl_accuracy(features, labels, space, fold, cfg: EvalConfig, seed: int) -> float:
-    """Conventional accuracy with a fold's pseudo-unseen classes held out."""
-    labels = np.asarray(labels)
-    class_order = list(space.class_ids)
-    dist_sem = embedding.semantic_distance_matrix(space)
-    train_idx = np.flatnonzero(np.isin(labels, list(fold.pseudo_seen)))
-    test_idx = np.flatnonzero(np.isin(labels, list(fold.pseudo_unseen)))
-    model, _ = _fit_and_embed(
-        features, labels, train_idx, sorted(fold.pseudo_seen),
-        sorted(fold.pseudo_unseen), dist_sem, class_order, cfg, seed,
-    )
-    pts = embedding.project(model, features[test_idx])
-    space_u = SearchSpace.unseen_only(model.unseen_class_ids, model.unseen_embeddings)
-    return zsl_eval.evaluate_czsl(pts, labels[test_idx], space_u, cfg.latent_metric)
+def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> dict:
+    """Class-wise cross-validation over the configured grid on the split's
+    seen classes.
 
-
-def select_hyperparameters(features, labels, space, seen_classes, cfg: EvalConfig) -> dict:
-    """Class-wise cross-validation over the configured grid.
-
-    The grid is scanned in its declared order; the first combination
-    attaining the best mean pseudo-conventional accuracy wins.
+    The folds are drawn from the split's "cv" seed, and each fold is scored
+    by evaluate_split in the conventional setting with that seed as master,
+    so every combination meets the same folds and the same LSM starts. The
+    grid is scanned in its declared order; the first combination attaining
+    the best mean conventional accuracy over the folds wins.
     """
-    folds = data_io.cv_folds(seen_classes, cfg.cv_n_folds, derive_seed(cfg.seed, 97))
+    cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
+    folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
+    fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
     grid_keys = list(cfg.cv_grid)
     best = None
-    for combo_index, combo in enumerate(itertools.product(*cfg.cv_grid.values())):
+    for combo in itertools.product(*cfg.cv_grid.values()):
         chosen = dict(zip(grid_keys, combo))
-        trial = replace(cfg, **chosen)
+        trial = replace(fold_cfg, **chosen)
         scores = [
-            pseudo_czsl_accuracy(
-                features, labels, space, fold, trial,
-                derive_seed(cfg.seed, 98, combo_index, fold.fold_index),
-            )
+            evaluate_split(features, labels, space, fold, trial)["inductive"]["A_UU"]
             for fold in folds
         ]
         mean = float(np.mean(scores))
@@ -284,7 +229,7 @@ def run_evaluation(
         split_cfg = cfg
         chosen = None
         if cfg.cv:
-            chosen = select_hyperparameters(features, labels, space, split.seen, cfg)
+            chosen = select_hyperparameters(features, labels, space, split, cfg)
             split_cfg = replace(cfg, **chosen)
         metrics = evaluate_split(features, labels, space, split, split_cfg)
         if chosen:

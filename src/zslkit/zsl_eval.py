@@ -62,32 +62,16 @@ class SearchSpace:
         return cls(ids, emb, "seen_plus_unseen")
 
 
-def _distances(points: np.ndarray, embeddings: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        return _pairwise_sq_dists(points, embeddings)  # squared; argmin-equivalent
-    if metric == "cosine":
-        p_norm = np.linalg.norm(points, axis=1)
-        e_norm = np.linalg.norm(embeddings, axis=1)
-        if np.any(p_norm == 0) or np.any(e_norm == 0):
-            raise ValueError("cosine distance undefined for zero vectors")
-        return 1.0 - (points @ embeddings.T) / np.outer(p_norm, e_norm)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def classify_nn(points, space: SearchSpace, metric: str = "euclidean") -> np.ndarray:
-    """Assign every point the id of its nearest class embedding.
+def classify_nn(points, space: SearchSpace) -> np.ndarray:
+    """Assign every point the id of its Euclidean-nearest class embedding.
 
     Exact distance ties resolve to the smallest class id.
     """
     if len(space.class_ids) == 0:
         raise ValueError("empty search space")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    d = _distances(points, space.embeddings, metric)
-    if metric == "euclidean":
-        best = _nearest(points, space.embeddings, d)
-    else:
-        best = np.argmin(d, axis=1)
-    return np.asarray(space.class_ids)[best]
+    d2 = _pairwise_sq_dists(points, space.embeddings)
+    return np.asarray(space.class_ids)[_nearest(points, space.embeddings, d2)]
 
 
 def per_class_accuracy(pred, truth, class_set) -> float:
@@ -123,11 +107,11 @@ def harmonic_mean(a_u: float, a_s: float) -> float:
     return 2.0 * a_u * a_s / (a_u + a_s)
 
 
-def evaluate_czsl(points, truth, space: SearchSpace, metric: str = "euclidean") -> float:
+def evaluate_czsl(points, truth, space: SearchSpace) -> float:
     """Conventional setting: search unseen classes only, per-class accuracy."""
     if space.mode != "unseen_only":
         raise ValueError("conventional evaluation requires an unseen-only search space")
-    pred = classify_nn(points, space, metric)
+    pred = classify_nn(points, space)
     return per_class_accuracy(pred, truth, space.class_ids)
 
 
@@ -144,7 +128,6 @@ def evaluate_gzsl(
     seen_points,
     seen_truth,
     space: SearchSpace,
-    metric: str = "euclidean",
 ) -> GzslScores:
     """Generalised setting: both test groups searched over seen + unseen.
 
@@ -156,12 +139,12 @@ def evaluate_gzsl(
     unseen_truth = np.asarray(unseen_truth)
     seen_truth = np.asarray(seen_truth)
     if unseen_truth.size:
-        pred_u = classify_nn(unseen_points, space, metric)
+        pred_u = classify_nn(unseen_points, space)
         a_u = per_class_accuracy(pred_u, unseen_truth, np.unique(unseen_truth))
     else:
         a_u = 0.0
     if seen_truth.size:
-        pred_s = classify_nn(seen_points, space, metric)
+        pred_s = classify_nn(seen_points, space)
         a_s = per_class_accuracy(pred_s, seen_truth, np.unique(seen_truth))
     else:
         a_s = 0.0
@@ -244,74 +227,31 @@ def optimal_assignment(cost) -> np.ndarray:
     return perm
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Test-set clusters matched one-to-one onto candidate classes."""
-
-    centroids: np.ndarray
-    members: tuple  # members[c]: indices of the points in cluster c
-    cluster_to_class: dict  # bijection cluster index -> class id
-
-    def __post_init__(self):
-        classes = list(self.cluster_to_class.values())
-        if len(set(classes)) != len(classes) or len(classes) != self.centroids.shape[0]:
-            raise ValueError("cluster-to-class map must be a bijection onto the classes")
-
-
-def cluster_and_match(
-    points,
-    class_ids,
-    embeddings,
-    *,
-    metric: str = "euclidean",
-    seed: int = 0,
-    n_init: int = 5,
-    max_iter: int = 100,
-) -> ClusterAssignment:
-    """Cluster the points into one cluster per candidate class and match
-    clusters to classes by the minimum-cost one-to-one assignment of
-    centroid-to-embedding distances."""
-    ids = sorted(int(c) for c in class_ids)
-    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    order = np.argsort([int(c) for c in class_ids], kind="stable")
-    emb = emb[order]
-    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if X.shape[0] < len(ids):
-        raise ValueError(f"{X.shape[0]} test points cannot cover {len(ids)} classes")
-    clusters = kmeans(X, len(ids), seed=seed, max_iter=max_iter, n_init=n_init)
-    cost = _distances(clusters.centroids, emb, metric)
-    perm = optimal_assignment(cost)
-    members = tuple(
-        np.flatnonzero(clusters.assignments == c) for c in range(len(ids))
-    )
-    return ClusterAssignment(
-        centroids=clusters.centroids,
-        members=members,
-        cluster_to_class={c: ids[perm[c]] for c in range(len(ids))},
-    )
-
-
 def transductive_predict(
     points,
     class_ids,
     embeddings,
     *,
-    metric: str = "euclidean",
     seed: int = 0,
     n_init: int = 5,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Structured prediction over the whole test collection: every member
-    of a cluster receives its matched class."""
-    assignment = cluster_and_match(
-        points, class_ids, embeddings,
-        metric=metric, seed=seed, n_init=n_init, max_iter=max_iter,
-    )
-    n = np.atleast_2d(np.asarray(points)).shape[0]
-    preds = np.empty(n, dtype=np.int64)
-    for c, members in enumerate(assignment.members):
-        preds[members] = assignment.cluster_to_class[c]
-    return preds
+    """Structured prediction over the whole test collection.
+
+    The points form one k-means cluster per candidate class; clusters are
+    matched to classes by the minimum-cost one-to-one assignment of squared
+    centroid-to-embedding distances, and every member of a cluster receives
+    its matched class.
+    """
+    ids = np.asarray([int(c) for c in class_ids], dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids, emb = ids[order], np.atleast_2d(np.asarray(embeddings, dtype=np.float64))[order]
+    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if X.shape[0] < len(ids):
+        raise ValueError(f"{X.shape[0]} test points cannot cover {len(ids)} classes")
+    clusters = kmeans(X, len(ids), seed=seed, max_iter=max_iter, n_init=n_init)
+    perm = optimal_assignment(_pairwise_sq_dists(clusters.centroids, emb))
+    return ids[perm][clusters.assignments]
 
 
 @dataclass

@@ -235,15 +235,15 @@ class TestGzslHoldout:
 class TestCvFolds:
     def test_balanced_sizes_51_classes(self):
         folds = cv_folds(range(51), 5, seed=0)
-        sizes = sorted((len(f.pseudo_unseen) for f in folds), reverse=True)
+        sizes = sorted((len(f.unseen) for f in folds), reverse=True)
         assert sizes == [11, 10, 10, 10, 10]
 
     def test_each_class_in_exactly_one_fold(self):
         folds = cv_folds(range(17), 4, seed=1)
-        seen_once = sorted(c for f in folds for c in f.pseudo_unseen)
+        seen_once = sorted(c for f in folds for c in f.unseen)
         assert seen_once == list(range(17))
         for f in folds:
-            assert sorted(f.pseudo_unseen + f.pseudo_seen) == list(range(17))
+            assert sorted(f.unseen + f.seen) == list(range(17))
 
     def test_deterministic(self):
         assert cv_folds(range(10), 3, seed=7) == cv_folds(range(10), 3, seed=7)

@@ -13,8 +13,6 @@ from zslkit.encoders import (
     fisher_encode,
     load_word_vectors,
     lookup_word_vectors,
-    save_word_vectors_binary,
-    save_word_vectors_text,
 )
 from zslkit.errors import DataError
 from zslkit.gmm import DiagGmm, log_likelihood
@@ -282,7 +280,11 @@ class TestWordVectorFiles:
     def test_text_round_trip(self, tmp_path):
         table = self.make_table()
         path = tmp_path / "vecs.txt"
-        save_word_vectors_text(table, path)
+        lines = [f"{len(table)} {table.dim}"] + [
+            term + " " + " ".join(repr(float(x)) for x in table.vectors[term])
+            for term in sorted(table.vectors)
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         loaded = load_word_vectors(path)
         assert set(loaded.vectors) == set(table.vectors)
         for w in table.vectors:
@@ -291,7 +293,11 @@ class TestWordVectorFiles:
     def test_binary_round_trip(self, tmp_path):
         table = self.make_table()
         path = tmp_path / "vecs.bin"
-        save_word_vectors_binary(table, path)
+        records = [
+            term.encode("utf-8") + b" " + table.vectors[term].astype("<f4").tobytes() + b"\n"
+            for term in sorted(table.vectors)
+        ]
+        path.write_bytes(f"{len(table)} {table.dim}\n".encode("utf-8") + b"".join(records))
         loaded = load_word_vectors(path)
         assert loaded.dim == 3
         for w in table.vectors:

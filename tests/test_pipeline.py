@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from zslkit import data_io, pipeline, synth
+from zslkit import data_io, embedding, pipeline, synth
 
 
 @pytest.fixture(scope="module")
@@ -142,12 +142,12 @@ class TestCrossValidation:
             lsm_max_iter=200,
         )
         chosen = pipeline.select_hyperparameters(
-            ds.features, ds.labels, space, splits[0].seen, cfg
+            ds.features, ds.labels, space, splits[0], cfg
         )
         assert chosen["d_latent"] in (2, 3)
         assert chosen["n_neighbors"] == 5
         again = pipeline.select_hyperparameters(
-            ds.features, ds.labels, space, splits[0].seen, cfg
+            ds.features, ds.labels, space, splits[0], cfg
         )
         assert chosen == again
 
@@ -162,3 +162,37 @@ class TestCrossValidation:
             ds.name, ds.features, ds.labels, space, splits[:1], cfg, method="m"
         )
         assert "cv_selected" in reports["inductive"].splits[0]
+
+    def test_cv_seeds_rederive_from_report(self, planted, monkeypatch):
+        ds, space, splits = planted
+        cfg = pipeline.EvalConfig(
+            seed=6, cv=True, cv_n_folds=2,
+            cv_grid={"d_latent": (2, 3), "n_neighbors": (5,)},
+            transductive=False, gzsl=False, lsm_max_iter=50,
+        )
+        cv_folds, lsm_embed = data_io.cv_folds, embedding.lsm_embed
+        fold_seeds, lsm_seeds = [], []
+
+        def recording_folds(seen, n_folds, seed):
+            fold_seeds.append(seed)
+            return cv_folds(seen, n_folds, seed)
+
+        def recording_lsm(*args, seed, **kwargs):
+            lsm_seeds.append(seed)
+            return lsm_embed(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(data_io, "cv_folds", recording_folds)
+        monkeypatch.setattr(embedding, "lsm_embed", recording_lsm)
+        reports = pipeline.run_evaluation(
+            ds.name, ds.features, ds.labels, space, splits[:2], cfg, method="m"
+        )
+        per_split = reports["inductive"].seeds["per_split"]
+        echoed = [per_split[str(s.split_index)] for s in splits[:2]]
+        assert fold_seeds == [e["cv"] for e in echoed]
+        assert echoed[0]["cv"] != echoed[1]["cv"]
+        # per split: each grid combination's folds, in fold order, then the split itself
+        expected = []
+        for e in echoed:
+            folds = [pipeline.split_seeds(e["cv"], f)["lsm"] for f in range(cfg.cv_n_folds)]
+            expected += folds * len(cfg.cv_grid["d_latent"]) + [e["lsm"]]
+        assert lsm_seeds == expected

@@ -9,7 +9,6 @@ from zslkit.zsl_eval import (
     aggregate_metrics,
     build_report,
     classify_nn,
-    cluster_and_match,
     evaluate_czsl,
     evaluate_gzsl,
     harmonic_mean,
@@ -98,20 +97,6 @@ class TestClassifyNn:
         for transform in (lambda d: d**2, np.exp, lambda d: 3 * d + 1):
             np.testing.assert_array_equal(
                 pred, brute_force_nn(points, ids, emb, transform)
-            )
-
-    def test_cosine_rescale_invariance(self):
-        rng = np.random.default_rng(2)
-        emb = rng.normal(size=(4, 5))
-        points = rng.normal(size=(30, 5))
-        space = SearchSpace.unseen_only(range(4), emb)
-        base = classify_nn(points, space, metric="cosine")
-        for c in range(4):
-            scaled = emb.copy()
-            scaled[c] *= 37.5
-            space2 = SearchSpace.unseen_only(range(4), scaled)
-            np.testing.assert_array_equal(
-                base, classify_nn(points, space2, metric="cosine")
             )
 
     def test_empty_search_space(self):
@@ -379,10 +364,10 @@ class TestTransductive:
         rng = np.random.default_rng(15)
         emb = rng.normal(size=(4, 3)) * 6
         pts = np.vstack([emb[c] + 0.3 * rng.normal(size=(9, 3)) for c in range(4)])
-        assignment = cluster_and_match(pts, [5, 2, 9, 0], emb, seed=1)
-        assert sorted(assignment.cluster_to_class.values()) == [0, 2, 5, 9]
-        flat = np.sort(np.concatenate(assignment.members))
-        assert np.array_equal(flat, np.arange(len(pts)))
+        pred = transductive_predict(pts, [5, 2, 9, 0], emb, seed=1)
+        # every point gets a class, every class gets exactly one cluster, and
+        # each embedding row stays paired with its own (unsorted) class id
+        np.testing.assert_array_equal(pred, np.repeat([5, 2, 9, 0], 9))
 
 
 class TestReports:
