@@ -227,12 +227,19 @@ def fisher_encode(gmm: DiagGmm, bag: VectorBag, *, normalize: bool = False) -> n
             f"bag dimension {bag.dim} does not match mixture dimension {gmm.dim}"
         )
     gamma = np.atleast_2d(gmm_posteriors(gmm, bag.vectors))  # (n, K)
-    sigma = np.sqrt(gmm.variances)  # (K, D)
-    diff = bag.vectors[:, None, :] - gmm.means[None, :, :]  # (n, K, D)
+    # The sums over i expand into the posterior-weighted first and second
+    # moments s1 = gamma^T v and s2 = gamma^T v^2, taken about the mixture
+    # mean so that the expansion keeps its digits.
+    centre = gmm.weights @ gmm.means
+    Vc = bag.vectors - centre
+    mu_c = gmm.means - centre  # (K, D)
+    nk = gamma.sum(axis=0)[:, None]  # (K, 1)
+    s1 = gamma.T @ Vc
+    s2 = gamma.T @ (Vc * Vc)
 
-    g_mu = np.einsum("nk,nkd->kd", gamma, diff / sigma[None, :, :])
+    g_mu = (s1 - nk * mu_c) / np.sqrt(gmm.variances)
     g_mu /= np.sqrt(gmm.weights)[:, None]
-    g_sigma = np.einsum("nk,nkd->kd", gamma, diff**2 / gmm.variances[None, :, :] - 1.0)
+    g_sigma = (s2 - 2.0 * mu_c * s1 + nk * mu_c * mu_c) / gmm.variances - nk
     g_sigma /= np.sqrt(2.0 * gmm.weights)[:, None]
 
     fv = np.concatenate([g_mu.ravel(), g_sigma.ravel()])

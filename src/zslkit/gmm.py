@@ -71,11 +71,20 @@ def weighted_log_densities(gmm: DiagGmm, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != gmm.dim:
         raise ValueError(f"points have dimension {X.shape[1]}, mixture has {gmm.dim}")
-    # (n, K): sum over D of log-normal terms
-    diff2 = (X[:, None, :] - gmm.means[None, :, :]) ** 2
+    # Mahalanobis terms sum_d (x - mu)^2 / var expanded into matmuls over
+    # data and means shifted by the mixture mean, which keeps the expansion
+    # from cancelling away digits when the data sit far from the origin.
+    centre = gmm.weights @ gmm.means
+    Xc = X - centre
+    mu_c = gmm.means - centre
+    prec = 1.0 / gmm.variances  # (K, D)
+    maha = (
+        (Xc * Xc) @ prec.T
+        - 2.0 * (Xc @ (mu_c * prec).T)
+        + np.sum(mu_c * mu_c * prec, axis=1)
+    )
     log_norm = -0.5 * (
-        np.sum(np.log(gmm.variances) + diff2 / gmm.variances, axis=2)
-        + gmm.dim * _LOG_2PI
+        maha + np.sum(np.log(gmm.variances), axis=1) + gmm.dim * _LOG_2PI
     )
     return np.log(gmm.weights)[None, :] + log_norm
 
@@ -151,8 +160,12 @@ def fit_diag_gmm(
         trace = np.array([log_likelihood(gmm, X)])
         return DiagGmm(weights=gmm.weights, means=mu, variances=var, loglik_trace=trace)
 
-    rng = np.random.default_rng(seed)
-    means = X[_kmeanspp_indices(X, k, rng)]
+    # EM runs on the pool centred by its mean, so the matmul forms of the
+    # E- and M-steps keep their digits; the centre is added back at the end.
+    # k-means++ seeds on the uncentred pool.
+    centre = X.mean(axis=0)
+    Xc = X - centre
+    means = Xc[_kmeanspp_indices(X, k, np.random.default_rng(seed))]
     variances = np.maximum(np.tile(pool_var, (k, 1)), floor[None, :])
     weights = np.full(k, 1.0 / k)
 
@@ -160,7 +173,7 @@ def fit_diag_gmm(
     prev_ll = None
     for _ in range(max_iter):
         gmm = DiagGmm(weights=weights, means=means, variances=variances)
-        log_joint = weighted_log_densities(gmm, X)
+        log_joint = weighted_log_densities(gmm, Xc)
         row_ll = logsumexp(log_joint, axis=1)
         ll = float(row_ll.sum())
         trace.append(ll)
@@ -172,14 +185,13 @@ def fit_diag_gmm(
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, n * 1e-300)  # guard fully-starved components
         weights = nk / nk.sum()
-        means = (resp.T @ X) / nk[:, None]
-        diff2 = (X[:, None, :] - means[None, :, :]) ** 2
-        variances = np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None]
+        means = (resp.T @ Xc) / nk[:, None]
+        variances = (resp.T @ (Xc * Xc)) / nk[:, None] - means * means
         variances = np.maximum(variances, floor[None, :])
 
     return DiagGmm(
         weights=weights,
-        means=means,
+        means=means + centre,
         variances=variances,
         loglik_trace=np.asarray(trace),
     )

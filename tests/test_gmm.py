@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from zslkit.embedding import _kmeanspp_indices
+from zslkit.encoders import VectorBag, fisher_encode
 from zslkit.errors import NumericalError
-from zslkit.gmm import DiagGmm, fit_diag_gmm, gmm_posteriors, log_likelihood
+from zslkit.gmm import (
+    DiagGmm,
+    fit_diag_gmm,
+    gmm_posteriors,
+    log_likelihood,
+    weighted_log_densities,
+)
 
 
 def naive_posteriors(weights, means, variances, v):
@@ -19,6 +29,25 @@ def naive_posteriors(weights, means, variances, v):
         joint.append(pi * dens)
     total = sum(joint)
     return np.array([j / total for j in joint])
+
+
+def explicit_log_densities(weights, means, variances, X):
+    """log(pi_k) + log N(x_i; mu_k, var_k) from explicit differences."""
+    diff2 = (X[:, None, :] - means[None, :, :]) ** 2
+    return np.log(weights) - 0.5 * np.sum(
+        np.log(2 * np.pi * variances) + diff2 / variances, axis=2
+    )
+
+
+def mixture_and_points(offset, n=300, d=128, k=5, seed=0):
+    """A K-component mixture and points drawn near it, all shifted by offset."""
+    rng = np.random.default_rng(seed)
+    means = offset + 3.0 * rng.normal(size=(k, d))
+    variances = rng.uniform(0.5, 2.0, size=(k, d))
+    weights = rng.dirichlet(np.ones(k))
+    comp = rng.integers(k, size=n)
+    X = means[comp] + np.sqrt(variances[comp]) * rng.normal(size=(n, d))
+    return DiagGmm(weights=weights, means=means, variances=variances), X
 
 
 def best_two_cluster_split(points):
@@ -159,3 +188,60 @@ class TestValidation:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             DiagGmm(weights=[1.0], means=[[0.0]], variances=[[0.0]])
+
+
+class TestMatmulForms:
+    """The matmul forms of the E-step, M-step and Fisher encoding against
+    explicit (n, K, D) difference references, on data far from the origin."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_log_densities_match_explicit_differences(self, offset):
+        gmm, X = mixture_and_points(offset)
+        ref = explicit_log_densities(gmm.weights, gmm.means, gmm.variances, X)
+        got = weighted_log_densities(gmm, X)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    def test_one_m_step_matches_explicit_differences(self):
+        _, X = mixture_and_points(1e3)
+        k, seed = 5, 4
+        # the state EM starts from: k-means++ means on the uncentred pool
+        means = X[_kmeanspp_indices(X, k, np.random.default_rng(seed))]
+        variances = np.tile(X.var(axis=0), (k, 1))
+        log_joint = explicit_log_densities(np.full(k, 1.0 / k), means, variances, X)
+        resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+        nk = resp.sum(axis=0)
+        ref_means = (resp.T @ X) / nk[:, None]
+        diff2 = (X[:, None, :] - ref_means[None, :, :]) ** 2
+        ref_var = np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None]
+
+        gmm = fit_diag_gmm(X, k, max_iter=1, seed=seed)
+        np.testing.assert_allclose(gmm.weights, nk / nk.sum(), rtol=0, atol=1e-12)
+        assert np.max(np.abs(gmm.means - ref_means)) <= 1e-12 * np.max(np.abs(ref_means))
+        assert np.max(np.abs(gmm.variances - ref_var)) <= 1e-12 * np.max(ref_var)
+
+    def test_fisher_encoding_matches_explicit_differences(self):
+        gmm, X = mixture_and_points(1e3)
+        gamma = gmm_posteriors(gmm, X)
+        diff = X[:, None, :] - gmm.means[None, :, :]
+        g_mu = np.einsum("nk,nkd->kd", gamma, diff / np.sqrt(gmm.variances))
+        g_sigma = np.einsum("nk,nkd->kd", gamma, diff**2 / gmm.variances - 1.0)
+        ref = np.concatenate([
+            (g_mu / np.sqrt(gmm.weights)[:, None]).ravel(),
+            (g_sigma / np.sqrt(2.0 * gmm.weights)[:, None]).ravel(),
+        ])
+        got = fisher_encode(gmm, VectorBag(class_id=0, vectors=X))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_em_at_d4096_within_memory_bound(self):
+        # a deep-feature pool; one (n, K, D) difference tensor would be
+        # 5x the pool's own bytes, and the parent's EM peaked near 20x
+        rng = np.random.default_rng(12)
+        pool = rng.normal(size=(2000, 4096)) + rng.integers(0, 3, size=(2000, 1))
+        tracemalloc.start()
+        try:
+            gmm = fit_diag_gmm(pool, 5, max_iter=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * pool.nbytes
+        assert gmm.loglik_trace.shape == (3,)
