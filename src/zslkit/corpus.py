@@ -8,7 +8,6 @@ embedding lookup keys.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -121,40 +120,3 @@ def default_stopwords() -> frozenset:
     """The packaged list of common English function words."""
     text = resources.files("zslkit").joinpath("data/stopwords.txt").read_text("utf-8")
     return frozenset(t.strip().lower() for t in text.splitlines() if t.strip())
-
-
-def load_corpus(manifest_path, stopwords=None) -> list[TokenDoc]:
-    """Load and tokenize a document corpus described by a JSON manifest.
-
-    The manifest is an array of {class_id, class_name, doc_path} records;
-    doc paths are resolved relative to the manifest file. Documents are
-    returned sorted by class_id.
-    """
-    manifest_path = Path(manifest_path)
-    try:
-        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read corpus manifest {manifest_path}: {e}") from e
-    if not isinstance(entries, list):
-        raise DataError("corpus manifest must be a JSON array")
-    if stopwords is None:
-        stopwords = default_stopwords()
-
-    docs = []
-    seen_ids = set()
-    for entry in entries:
-        try:
-            class_id = int(entry["class_id"])
-            doc_path = manifest_path.parent / entry["doc_path"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"bad corpus manifest entry {entry!r}: {e}") from e
-        if class_id in seen_ids:
-            raise DataError(f"duplicate class_id {class_id} in corpus manifest")
-        seen_ids.add(class_id)
-        try:
-            text = doc_path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"cannot read document for class {class_id}: {e}") from e
-        docs.append(tokenize(text, stopwords, class_id=class_id))
-    docs.sort(key=lambda d: d.class_id)
-    return docs

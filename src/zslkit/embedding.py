@@ -87,18 +87,20 @@ class StressTrace:
     restart_index: int
 
 
-def _sq_norms(X: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", X, X)
+def _sq_norms(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared row norms of X and their maximum (0 when X has no rows)."""
+    x2 = np.einsum("ij,ij->i", X, X)
+    return x2, x2.max(initial=0.0)
 
 
-def _slack(x2: np.ndarray, y2: np.ndarray, d: int) -> float:
+def _slack(x2_max: float, y2_max: float, d: int) -> float:
     """Bound on how far a Gram-form squared distance can lie from the
     explicit-difference value: d * eps * (max ||x||^2 + max ||y||^2) with a
     safety factor. Outcomes decided within it are recomputed exactly."""
-    return 8.0 * (d + 2) * _EPS * (x2.max(initial=0.0) + y2.max(initial=0.0))
+    return 8.0 * (d + 2) * _EPS * (x2_max + y2_max)
 
 
-def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, x_norms=None) -> np.ndarray:
     """Squared Euclidean distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y,
     blocked over rows of X within _BLOCK_BYTES, so the memory beyond the
     (n, m) result is O(block * m) rather than O(n * m * d).
@@ -107,9 +109,11 @@ def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     differences, so coincident rows are exactly 0; every other entry is
     within _slack of the explicit-difference value. Callers whose outcome
     hangs on ties (kNN cutoffs, argmins) refine those with _exact_sq_dists.
+    Callers that measure one X against many Y pass x_norms = _sq_norms(X).
     """
-    x2, y2 = _sq_norms(X), _sq_norms(Y)
-    slack = _slack(x2, y2, X.shape[1])
+    x2, x2_max = _sq_norms(X) if x_norms is None else x_norms
+    y2, y2_max = _sq_norms(Y)
+    slack = _slack(x2_max, y2_max, X.shape[1])
     out = np.empty((X.shape[0], Y.shape[0]))
     step = max(1, _BLOCK_BYTES // (9 * max(1, Y.shape[0])))
     for start in range(0, X.shape[0], step):
@@ -119,8 +123,11 @@ def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         block *= -2.0
         block += x2[rows, None]
         block += y2
-        i, j = np.nonzero(block <= slack)  # includes every negative entry
-        if i.size:
+        # includes every negative entry; flatnonzero is far cheaper than a
+        # 2-D nonzero and divmod gives the same pairs in the same order
+        flat = np.flatnonzero(block <= slack)
+        if flat.size:
+            i, j = np.divmod(flat, block.shape[1])
             block[i, j] = _exact_sq_dists(X, Y, i + start, j)
     return out
 
@@ -138,17 +145,19 @@ def _exact_sq_dists(X: np.ndarray, Y: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray) -> np.ndarray:
+def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray, x_norms=None) -> np.ndarray:
     """Row-wise argmin of d2 = _pairwise_sq_dists(X, Y). Rows whose runner-up
     lies within the rounding slack of the minimum are decided on exact
-    values, so an exact tie still goes to the smallest column."""
+    values, so an exact tie still goes to the smallest column. x_norms is
+    _sq_norms(X), as for _pairwise_sq_dists."""
     best = np.argmin(d2, axis=1)
     low = d2[np.arange(d2.shape[0]), best]
-    slack = _slack(_sq_norms(X), _sq_norms(Y), X.shape[1])
+    x2_max = (_sq_norms(X) if x_norms is None else x_norms)[1]
+    slack = _slack(x2_max, _sq_norms(Y)[1], X.shape[1])
     near = d2 <= low[:, None] + 2.0 * slack
-    rows = np.flatnonzero(near.sum(axis=1) > 1)
+    rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
     if rows.size:
-        r, cols = np.nonzero(near[rows])
+        r, cols = np.divmod(np.flatnonzero(near[rows]), d2.shape[1])
         exact = np.full((rows.size, d2.shape[1]), np.inf)
         exact[r, cols] = _exact_sq_dists(X, Y, rows[r], cols)
         best[rows] = np.argmin(exact, axis=1)
@@ -160,15 +169,61 @@ def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     uniformly, each further row with probability proportional to its squared
     distance from the nearest row already drawn. Returns the k row indices."""
     n = X.shape[0]
+    norms = _sq_norms(X)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = _pairwise_sq_dists(X, X[chosen[:1]])[:, 0]
+    d2 = _pairwise_sq_dists(X, X[chosen[:1]], norms)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         # a zero total means every row coincides with a row already drawn
         chosen[j] = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
-        d2 = np.minimum(d2, _pairwise_sq_dists(X, X[chosen[j : j + 1]])[:, 0])
+        d2 = np.minimum(d2, _pairwise_sq_dists(X, X[chosen[j : j + 1]], norms)[:, 0])
     return chosen
+
+
+def _knn_candidates(d2, slack, k):
+    """Per row of d2, the columns of its first k + 1 merged groups (Gram
+    values chaining within 2*slack), in the order of a stable sort of the
+    full row. Returns (order, n_cand): row r's candidates are
+    order[r, :n_cand[r]].
+
+    Each row is sorted only within a window of its smallest values, taken by
+    argpartition and put in column order, so the stable sort breaks ties by
+    column as a full-row sort does. Values below the window's largest are
+    all inside it, so once a later group starts within the window, the
+    first k + 1 groups match the full sort exactly. Rows where it does not
+    start are retried with a window four times wider, then the full row.
+    """
+    n_rows, n = d2.shape
+    pending = np.arange(n_rows)
+    found = []
+    for w in (4 * (k + 1), 16 * (k + 1), n):
+        w = min(w, n)
+        vals = d2 if pending.size == n_rows else d2[pending]
+        cols = None
+        if w < n:
+            cols = np.argpartition(vals, w - 1, axis=1)[:, :w]
+            cols.sort(axis=1)
+            vals = np.take_along_axis(vals, cols, axis=1)
+        perm = np.argsort(vals, axis=1, kind="stable")
+        ranked = np.take_along_axis(vals, perm, axis=1)
+        group = np.zeros(ranked.shape, dtype=np.int64)
+        np.cumsum(np.diff(ranked, axis=1) > 2.0 * slack, axis=1, out=group[:, 1:])
+        closed = group[:, -1] > k if w < n else np.ones(pending.size, dtype=bool)
+        if closed.any():
+            n_cand = (group[closed] <= k).sum(axis=1)
+            perm = perm[closed, : n_cand.max()]
+            order = perm if cols is None else np.take_along_axis(cols[closed], perm, axis=1)
+            found.append((pending[closed], n_cand, order))
+        pending = pending[~closed]
+        if pending.size == 0:
+            break
+    order = np.zeros((n_rows, max(o.shape[1] for _, _, o in found)), dtype=np.intp)
+    n_cand = np.empty(n_rows, dtype=np.int64)
+    for rows, counts, cols in found:
+        order[rows, : cols.shape[1]] = cols
+        n_cand[rows] = counts
+    return order, n_cand
 
 
 def _knn_exact(X, d2, slack, start, k):
@@ -182,13 +237,9 @@ def _knn_exact(X, d2, slack, start, k):
     first may hold only zeros), so only those entries are recomputed by
     explicit differences and ranked.
     """
-    order = np.argsort(d2, axis=1, kind="stable")
-    ranked = np.take_along_axis(d2, order, axis=1)
-    group = np.zeros(ranked.shape, dtype=np.int64)
-    np.cumsum(np.diff(ranked, axis=1) > 2.0 * slack, axis=1, out=group[:, 1:])
-    n_cand = (group <= k).sum(axis=1)
-    width = n_cand.max()
-    r, pos = np.nonzero(np.arange(width) < n_cand[:, None])
+    order, n_cand = _knn_candidates(d2, slack, k)
+    width = order.shape[1]
+    r, pos = np.divmod(np.flatnonzero(np.arange(width) < n_cand[:, None]), width)
     exact = np.full((d2.shape[0], width), np.inf)
     exact[r, pos] = _exact_sq_dists(X, X, r + start, order[r, pos])
     exact[exact == 0] = np.inf  # coincident pairs carry no geometry
@@ -197,7 +248,7 @@ def _knn_exact(X, d2, slack, start, k):
     distinct[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
     within = np.isfinite(ranked) & (np.cumsum(distinct, axis=1) <= k)
     cutoff = np.where(within, ranked, -np.inf).max(axis=1)
-    r, pos = np.nonzero(exact <= cutoff[:, None])
+    r, pos = np.divmod(np.flatnonzero(exact <= cutoff[:, None]), width)
     return r + start, order[r, pos], exact[r, pos]
 
 
@@ -226,23 +277,23 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
     if width <= 0:
         raise ValueError(f"kernel width must be positive, got {width}")
 
-    d2 = _pairwise_sq_dists(X, X)
-    x2 = _sq_norms(X)
-    slack = _slack(x2, x2, X.shape[1])
+    norms = _sq_norms(X)
+    d2 = _pairwise_sq_dists(X, X, norms)
+    slack = _slack(norms[1], norms[1], X.shape[1])
     scale = 2.0 * width**2
-    same = labels[:, None] == labels[None, :]
     W = np.zeros((n, n))
     step = max(1, _BLOCK_BYTES // (40 * n))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         i, j, dist = _knn_exact(X, d2[rows], slack, start, n_neighbors)
-        keep = same[i, j]
+        keep = labels[i] == labels[j]
         W[i[keep], j[keep]] = np.exp(-dist[keep] / scale)
+    del d2  # so that max(W, W^T) is the only other n x n array
     W = np.maximum(W, W.T)
 
     empty = np.flatnonzero(W.sum(axis=1) == 0)
     for i in empty:
-        mates = np.flatnonzero(same[i])
+        mates = np.flatnonzero(labels == labels[i])
         mates = mates[mates != i]
         if mates.size == 0:
             raise DataError(

@@ -70,9 +70,6 @@ class SemanticSpace:
     def dim(self) -> int:
         return self.reps.shape[1]
 
-    def rep_for(self, class_id: int) -> np.ndarray:
-        return self.reps[self.class_ids.index(class_id)]
-
 
 class WordVectorTable:
     """term -> D-dimensional vector lookup, loaded from a table file."""

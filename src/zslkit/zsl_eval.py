@@ -20,7 +20,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data_io import _atomic_write
-from .embedding import _exact_sq_dists, _kmeanspp_indices, _nearest, _pairwise_sq_dists
+from .embedding import (
+    _exact_sq_dists,
+    _kmeanspp_indices,
+    _nearest,
+    _pairwise_sq_dists,
+    _sq_norms,
+)
 from .errors import DataError
 
 METRIC_KEYS = ("A_UU", "A_UT", "A_ST", "H")
@@ -159,12 +165,13 @@ class KmeansResult:
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
-    k = centers.shape[0]
-    points = np.arange(X.shape[0])
+    k, d = centers.shape
+    points, columns = np.arange(X.shape[0]), np.arange(d)
+    norms = _sq_norms(X)
     assignments = None
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(X, centers)
-        new_assign = _nearest(X, centers, d2)
+        d2 = _pairwise_sq_dists(X, centers, norms)
+        new_assign = _nearest(X, centers, d2, norms)
         # empty-cluster repair, in cluster order: move the centroid to the
         # point farthest from the centroid it is currently assigned to
         c = 0
@@ -175,18 +182,19 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
             c += int(empty[0])
             worst = int(np.argmax(_exact_sq_dists(X, centers, points, new_assign)))
             centers[c] = X[worst]
-            d2[:, c] = _pairwise_sq_dists(X, centers[c : c + 1])[:, 0]
-            new_assign = _nearest(X, centers, d2)
+            d2[:, c] = _pairwise_sq_dists(X, centers[c : c + 1], norms)[:, 0]
+            new_assign = _nearest(X, centers, d2, norms)
             c += 1
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        # a weighted bincount adds each cluster's rows in row order
-        sums = np.column_stack(
-            [np.bincount(assignments, weights=col, minlength=k) for col in X.T]
+        # a weighted bincount adds each cluster's rows in row order; one
+        # call over the flattened (cluster, column) bins does every column
+        sums = np.bincount(
+            (assignments[:, None] * d + columns).ravel(), weights=X.ravel(), minlength=k * d
         )
-        centers = sums / np.bincount(assignments, minlength=k)[:, None]
-    assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers))
+        centers = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
+    assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers, norms), norms)
     inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
     return KmeansResult(centroids=centers, assignments=assignments, inertia=inertia)
 

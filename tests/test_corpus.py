@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +6,6 @@ from zslkit.corpus import (
     TokenDoc,
     build_vocabulary,
     default_stopwords,
-    load_corpus,
     load_stopwords,
     term_document_matrix,
     tokenize,
@@ -137,41 +134,3 @@ class TestStopwordFiles:
         p = tmp_path / "stop.txt"
         p.write_text("The\nof\n\n  a  \n", encoding="utf-8")
         assert load_stopwords(p) == {"the", "of", "a"}
-
-
-class TestCorpusManifest:
-    def _write(self, tmp_path, entries):
-        m = tmp_path / "corpus.json"
-        m.write_text(json.dumps(entries), encoding="utf-8")
-        return m
-
-    def test_load_sorted_by_class_id(self, tmp_path):
-        (tmp_path / "b.txt").write_text("kick the ball", encoding="utf-8")
-        (tmp_path / "a.txt").write_text("apply lipstick", encoding="utf-8")
-        m = self._write(
-            tmp_path,
-            [
-                {"class_id": 1, "class_name": "kick", "doc_path": "b.txt"},
-                {"class_id": 0, "class_name": "lipstick", "doc_path": "a.txt"},
-            ],
-        )
-        docs = load_corpus(m, stopwords={"the"})
-        assert [d.class_id for d in docs] == [0, 1]
-        assert docs[1].tokens == ("kick", "ball")
-
-    def test_duplicate_class_id(self, tmp_path):
-        (tmp_path / "a.txt").write_text("x", encoding="utf-8")
-        m = self._write(
-            tmp_path,
-            [
-                {"class_id": 0, "class_name": "a", "doc_path": "a.txt"},
-                {"class_id": 0, "class_name": "b", "doc_path": "a.txt"},
-            ],
-        )
-        with pytest.raises(DataError, match="duplicate"):
-            load_corpus(m, stopwords=set())
-
-    def test_missing_document(self, tmp_path):
-        m = self._write(tmp_path, [{"class_id": 0, "class_name": "a", "doc_path": "nope.txt"}])
-        with pytest.raises(DataError):
-            load_corpus(m, stopwords=set())

@@ -95,6 +95,20 @@ class TestDistanceKernel:
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         assert np.all(got >= 0.0)
 
+    def test_coincident_rows_in_later_blocks(self, monkeypatch):
+        # four rows of X per block: the rows shared with Y sit in blocks 6
+        # and 7, so their refinement must index X from the block's start
+        rng = np.random.default_rng(2)
+        Y = rng.normal(size=(12, 5)) * 2.0 + 3.0
+        X = np.vstack([rng.normal(size=(25, 5)) * 2.0 + 3.0, Y[[7, 2, 7, 11, 0]]])
+        monkeypatch.setattr(embedding, "_BLOCK_BYTES", 9 * Y.shape[0] * 4)
+        got = _pairwise_sq_dists(X, Y)
+        want = explicit_sq_dists(X, Y)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.count_nonzero(got == 0.0) == 5
+        off = want > 0
+        assert np.max(np.abs(got[off] - want[off]) / want[off]) <= 1e-12
+
 
 def kmeanspp_reference(X, k, rng):
     """Test-side k-means++ seeding by explicit differences."""
@@ -174,6 +188,52 @@ class TestKnnAffinity:
         labels = rng.integers(0, 3, size=60)
         g = knn_affinity(X, labels, n_neighbors=k, width=1.5)
         np.testing.assert_array_equal(g.weights, distinct_rank_affinity(X, labels, k, 1.5))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_candidate_window_widens_to_the_full_sort(self, k):
+        # d=1 on a 0.1 grid, half the values once and half 2-59 times: a
+        # row's first k + 1 merged groups close inside the first window, the
+        # widened one or only the full row, and windows end inside runs of
+        # equal values
+        rng = np.random.default_rng(31 + k)
+        mult = np.where(rng.random(24) < 0.5, 1, rng.integers(2, 60, size=24))
+        X = np.repeat(np.arange(24) * 0.1, mult)[:, None]
+        labels = rng.integers(0, 2, size=X.shape[0])
+        d2 = _pairwise_sq_dists(X, X)
+        norms = embedding._sq_norms(X)
+        slack = embedding._slack(norms[1], norms[1], 1)
+
+        order = np.argsort(d2, axis=1, kind="stable")
+        ranked = np.take_along_axis(d2, order, axis=1)
+        group = np.zeros(ranked.shape, dtype=np.int64)
+        np.cumsum(np.diff(ranked, axis=1) > 2.0 * slack, axis=1, out=group[:, 1:])
+        want_count = (group <= k).sum(axis=1)
+        w = 4 * (k + 1)
+        assert np.any(want_count < w) and np.any(want_count >= 4 * w)
+        assert np.any((want_count >= w) & (want_count < 4 * w))
+        assert np.any(ranked[:, w - 1] == ranked[:, w])
+
+        got_order, got_count = embedding._knn_candidates(d2, slack, k)
+        np.testing.assert_array_equal(got_count, want_count)
+        for r, count in enumerate(want_count):
+            np.testing.assert_array_equal(got_order[r, :count], order[r, :count])
+        g = knn_affinity(X, labels, n_neighbors=k, width=0.3)
+        np.testing.assert_array_equal(g.weights, distinct_rank_affinity(X, labels, k, 0.3))
+
+    def test_memory_at_n2000(self):
+        # beside the weights and the distances, each n x n float64 (30.5 MB),
+        # the graph may hold only row blocks and candidate windows; an n x n
+        # label mask or a third n x n array breaks the bound
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(2000, 64))
+        labels = np.repeat(np.arange(20), 100)
+        tracemalloc.start()
+        try:
+            knn_affinity(X, labels, n_neighbors=10, width=8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2000 * 2000 * 8
 
     def test_empty_row_fallback_connects_class(self):
         # class 1's points sit between class-0 points, so their nearest
