@@ -34,8 +34,7 @@ from .zsl_eval import (
     EvalReport,
     SearchSpace,
     classify_nn,
-    evaluate_czsl,
-    evaluate_gzsl,
+    gzsl_scores,
     harmonic_mean,
     kmeans,
     optimal_assignment,

@@ -169,20 +169,22 @@ def _eval_config_from(args, config) -> pipeline.EvalConfig:
         raise ConfigError(f"unknown settings {sorted(unknown)}; use czsl,gzsl")
     if not settings:
         raise ConfigError("at least one of czsl,gzsl must be requested")
-    cfg = pipeline.EvalConfig(
-        d_latent=int(_resolve(args, config, "d_latent", 20)),
-        n_neighbors=int(_resolve(args, config, "neighbors", 10)),
-        width_scale=float(_resolve(args, config, "width_scale", 1.0)),
-        holdout_fraction=float(_resolve(args, config, "holdout_fraction", 0.2)),
-        lsm_max_iter=int(_resolve(args, config, "lsm_max_iter", 2000)),
-        lsm_restarts=int(_resolve(args, config, "lsm_restarts", 5)),
+    default = pipeline.EvalConfig()
+    return pipeline.EvalConfig(
+        d_latent=int(_resolve(args, config, "d_latent", default.d_latent)),
+        n_neighbors=int(_resolve(args, config, "neighbors", default.n_neighbors)),
+        width_scale=float(_resolve(args, config, "width_scale", default.width_scale)),
+        holdout_fraction=float(
+            _resolve(args, config, "holdout_fraction", default.holdout_fraction)
+        ),
+        lsm_max_iter=int(_resolve(args, config, "lsm_max_iter", default.lsm_max_iter)),
+        lsm_restarts=int(_resolve(args, config, "lsm_restarts", default.lsm_restarts)),
         czsl="czsl" in settings,
         gzsl="gzsl" in settings,
         transductive=bool(_resolve(args, config, "transductive", False)),
-        cv=bool(_resolve(args, config, "cv", False)),
-        seed=int(_resolve(args, config, "seed", 0)),
+        cv=bool(_resolve(args, config, "cv", default.cv)),
+        seed=int(_resolve(args, config, "seed", default.seed)),
     )
-    return cfg
 
 
 def _load_splits(args, config, dataset):

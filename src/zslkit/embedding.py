@@ -13,7 +13,7 @@ between classes are preserved by latent Euclidean distances.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +24,11 @@ from .errors import DataError, NumericalError
 if TYPE_CHECKING:  # encoders imports gmm, which imports this module
     from .encoders import SemanticSpace
 
+# Sammon descent: the first trial step, and the step below which it stops.
+_FIRST_STEP = 0.1
 _MIN_STEP = 1e-30
+# Ridge on the SLPP constraint matrix, relative to its mean diagonal.
+_SLPP_REG = 1e-8
 # Final Sammon stresses closer than this are tied, and the earlier restart
 # wins. The stress is normalised by the summed target distances, so one
 # absolute bound serves every scale. When d_latent >= the landmark count,
@@ -48,34 +52,11 @@ class AffinityGraph:
 
 @dataclass(frozen=True)
 class LatentModel:
-    """Visual-to-latent projection plus class embeddings.
-
-    Built in stages: slpp_fit supplies the projection, class_landmarks the
-    seen-class landmarks, lsm_embed the unseen-class embeddings; use
-    with_landmarks / with_unseen to attach the later stages.
-    """
+    """Visual-to-latent projection fitted by slpp_fit."""
 
     projection: np.ndarray  # (d_visual, d_latent)
     d_latent: int
     eigenvalues: np.ndarray | None = field(default=None, compare=False)
-    seen_class_ids: tuple[int, ...] = ()
-    seen_landmarks: np.ndarray | None = None
-    unseen_class_ids: tuple[int, ...] = ()
-    unseen_embeddings: np.ndarray | None = None
-
-    def with_landmarks(self, class_ids, landmarks) -> "LatentModel":
-        return replace(
-            self,
-            seen_class_ids=tuple(int(c) for c in class_ids),
-            seen_landmarks=np.asarray(landmarks, dtype=np.float64),
-        )
-
-    def with_unseen(self, class_ids, embeddings) -> "LatentModel":
-        return replace(
-            self,
-            unseen_class_ids=tuple(int(c) for c in class_ids),
-            unseen_embeddings=np.asarray(embeddings, dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True)
@@ -325,7 +306,6 @@ def slpp_fit(
     n_neighbors: int = 10,
     width: float | None = None,
     width_scale: float = 1.0,
-    reg: float = 1e-8,
 ) -> LatentModel:
     """Supervised locality-preserving projection.
 
@@ -337,7 +317,7 @@ def slpp_fit(
     diagonal and L = D - W, keeping the eigenvectors of smallest eigenvalue.
     Columns whose projected coordinates are (near-)constant across the
     training examples carry no structure and are skipped. The constraint
-    matrix X^T D X is regularized by reg * mean(trace) * I before the
+    matrix X^T D X is regularized by _SLPP_REG * mean(trace) * I before the
     Cholesky-based reduction.
 
     If `width` is None it defaults to width_scale times the median pairwise
@@ -361,7 +341,7 @@ def slpp_fit(
     B = X.T @ XD
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
-    B[np.diag_indices(d)] += reg * np.trace(B) / d
+    B[np.diag_indices(d)] += _SLPP_REG * np.trace(B) / d
 
     try:
         eigvals, eigvecs = scipy.linalg.eigh(A, B)
@@ -441,7 +421,7 @@ def semantic_distance_matrix(space: SemanticSpace) -> np.ndarray:
     return D
 
 
-def _descend(Y0, evaluate, gradient, lr, max_iter, tol):
+def _descend(Y0, evaluate, gradient, max_iter, tol):
     """Gradient descent with step halving; steps that would increase the
     stress are rejected. evaluate(Y) returns (stress, distances) and the
     distances of each accepted iterate feed gradient(Y, distances).
@@ -449,7 +429,7 @@ def _descend(Y0, evaluate, gradient, lr, max_iter, tol):
     Y = Y0.copy()
     stress, dists = evaluate(Y)
     trace = [stress]
-    step = lr
+    step = _FIRST_STEP
     for _ in range(max_iter):
         grad = gradient(Y, dists)
         while step >= _MIN_STEP:
@@ -477,7 +457,6 @@ def lsm_embed(
     class_order,
     unseen_ids,
     *,
-    lr: float = 0.1,
     max_iter: int = 2000,
     tol: float = 1e-9,
     restarts: int = 5,
@@ -594,7 +573,7 @@ def lsm_embed(
 
     best = None
     for r, Y0 in enumerate(starts):
-        Y, trace = _descend(Y0, evaluate, gradient, lr, max_iter, tol)
+        Y, trace = _descend(Y0, evaluate, gradient, max_iter, tol)
         if best is None or trace[-1] < best[2][-1] - _STRESS_TIE:
             best = (r, Y, trace)
     r, Y, trace = best

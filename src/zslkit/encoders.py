@@ -256,8 +256,6 @@ def encode_class_set(
     seed: int = 0,
     normalize: bool = False,
     max_iter: int = 300,
-    tol: float = 1e-7,
-    var_floor: float = 1e-6,
 ) -> SemanticSpace:
     """Encode one representation per class into a SemanticSpace.
 
@@ -299,9 +297,7 @@ def encode_class_set(
 
     if method == "fisher":
         pool = np.vstack([b.vectors for b in bags if b.size > 0])
-        gmm = fit_diag_gmm(
-            pool, k, max_iter=max_iter, tol=tol, var_floor=var_floor, seed=seed
-        )
+        gmm = fit_diag_gmm(pool, k, max_iter=max_iter, seed=seed)
         reps = []
         for bag in bags:
             try:

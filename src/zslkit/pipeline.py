@@ -128,51 +128,32 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
         max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol, restarts=cfg.lsm_restarts,
         seed=seeds["lsm"],
     )
-    model = model.with_landmarks(ids.tolist(), landmarks).with_unseen(unseen_ids, unseen_emb)
 
     unseen_pts = embedding.project(model, features[unseen_test_idx])
     unseen_truth = labels[unseen_test_idx]
+    seen_pts = embedding.project(model, features[seen_test_idx])
+    seen_truth = labels[seen_test_idx]
+    space_u = SearchSpace(unseen_ids, unseen_emb)
+    space_t = SearchSpace([*ids.tolist(), *unseen_ids], np.vstack([landmarks, unseen_emb]))
 
-    out = {s: {"split_index": split.split_index} for s in cfg.settings()}
+    def predict(setting, points, space, seed_role):
+        if setting == "inductive":
+            return zsl_eval.classify_nn(points, space)
+        return zsl_eval.transductive_predict(points, space, seed=seeds[seed_role])
 
-    if cfg.czsl:
-        space_u = SearchSpace.unseen_only(unseen_ids, model.unseen_embeddings)
-        out["inductive"]["A_UU"] = zsl_eval.evaluate_czsl(unseen_pts, unseen_truth, space_u)
-        if cfg.transductive:
-            pred = zsl_eval.transductive_predict(
-                unseen_pts, unseen_ids, model.unseen_embeddings, seed=seeds["kmeans"]
-            )
-            out["transductive"]["A_UU"] = zsl_eval.per_class_accuracy(
-                pred, unseen_truth, unseen_ids
-            )
-
-    if cfg.gzsl:
-        seen_pts = embedding.project(model, features[seen_test_idx])
-        seen_truth = labels[seen_test_idx]
-        space_t = SearchSpace.seen_plus_unseen(
-            model.seen_class_ids,
-            model.seen_landmarks,
-            unseen_ids,
-            model.unseen_embeddings,
-        )
-        scores = zsl_eval.evaluate_gzsl(unseen_pts, unseen_truth, seen_pts, seen_truth, space_t)
-        out["inductive"].update(
-            {"A_UT": scores.a_unseen, "A_ST": scores.a_seen, "H": scores.harmonic}
-        )
-        if cfg.transductive:
-            combined = np.vstack([unseen_pts, seen_pts])
-            pred = zsl_eval.transductive_predict(
-                combined, space_t.class_ids, space_t.embeddings, seed=seeds["kmeans_gzsl"]
-            )
+    out = {}
+    for setting in cfg.settings():
+        metrics = out[setting] = {"split_index": split.split_index}
+        if cfg.czsl:
+            pred = predict(setting, unseen_pts, space_u, "kmeans")
+            metrics["A_UU"] = zsl_eval.per_class_accuracy(pred, unseen_truth, unseen_ids)
+        if cfg.gzsl:
+            # one prediction over both test groups: the transductive clusters
+            # span them, and a nearest-neighbour row does not see its batch
+            pred = predict(setting, np.vstack([unseen_pts, seen_pts]), space_t, "kmeans_gzsl")
             n_u = unseen_pts.shape[0]
-            a_ut = zsl_eval.per_class_accuracy(
-                pred[:n_u], unseen_truth, np.unique(unseen_truth)
-            )
-            a_st = zsl_eval.per_class_accuracy(
-                pred[n_u:], seen_truth, np.unique(seen_truth)
-            )
-            out["transductive"].update(
-                {"A_UT": a_ut, "A_ST": a_st, "H": zsl_eval.harmonic_mean(a_ut, a_st)}
+            metrics.update(
+                zsl_eval.gzsl_scores(pred[:n_u], unseen_truth, pred[n_u:], seen_truth)
             )
     return out
 

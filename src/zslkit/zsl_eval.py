@@ -42,7 +42,6 @@ class SearchSpace:
 
     class_ids: tuple[int, ...]
     embeddings: np.ndarray  # (C, d)
-    mode: str  # "unseen_only" | "seen_plus_unseen"
 
     def __post_init__(self):
         ids = [int(c) for c in self.class_ids]
@@ -51,21 +50,9 @@ class SearchSpace:
             raise ValueError(f"{len(ids)} class ids but {emb.shape[0]} embedding rows")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate class ids in search space")
-        if self.mode not in ("unseen_only", "seen_plus_unseen"):
-            raise ValueError(f"unknown search-space mode {self.mode!r}")
         order = np.argsort(ids, kind="stable")
         object.__setattr__(self, "class_ids", tuple(ids[i] for i in order))
         object.__setattr__(self, "embeddings", emb[order])
-
-    @classmethod
-    def unseen_only(cls, class_ids, embeddings) -> "SearchSpace":
-        return cls(tuple(class_ids), embeddings, "unseen_only")
-
-    @classmethod
-    def seen_plus_unseen(cls, seen_ids, seen_emb, unseen_ids, unseen_emb) -> "SearchSpace":
-        ids = tuple(seen_ids) + tuple(unseen_ids)
-        emb = np.vstack([np.atleast_2d(seen_emb), np.atleast_2d(unseen_emb)])
-        return cls(ids, emb, "seen_plus_unseen")
 
 
 def classify_nn(points, space: SearchSpace) -> np.ndarray:
@@ -113,48 +100,20 @@ def harmonic_mean(a_u: float, a_s: float) -> float:
     return 2.0 * a_u * a_s / (a_u + a_s)
 
 
-def evaluate_czsl(points, truth, space: SearchSpace) -> float:
-    """Conventional setting: search unseen classes only, per-class accuracy."""
-    if space.mode != "unseen_only":
-        raise ValueError("conventional evaluation requires an unseen-only search space")
-    pred = classify_nn(points, space)
-    return per_class_accuracy(pred, truth, space.class_ids)
+def gzsl_scores(pred_unseen, truth_unseen, pred_seen, truth_seen) -> dict:
+    """Generalised metrics of predictions made over seen + unseen classes:
+    A_UT and A_ST are the per-class accuracies of the unseen and the seen
+    test group, H their harmonic mean.
 
-
-@dataclass(frozen=True)
-class GzslScores:
-    a_unseen: float  # unseen-class test examples, searched over all classes
-    a_seen: float  # held-out seen-class test examples, searched over all classes
-    harmonic: float
-
-
-def evaluate_gzsl(
-    unseen_points,
-    unseen_truth,
-    seen_points,
-    seen_truth,
-    space: SearchSpace,
-) -> GzslScores:
-    """Generalised setting: both test groups searched over seen + unseen.
-
-    An empty unseen (or seen) test group scores 0 for its accuracy, which
-    forces the harmonic mean to 0.
+    An empty test group scores 0 for its accuracy, which forces H to 0.
     """
-    if space.mode != "seen_plus_unseen":
-        raise ValueError("generalised evaluation requires a seen-plus-unseen space")
-    unseen_truth = np.asarray(unseen_truth)
-    seen_truth = np.asarray(seen_truth)
-    if unseen_truth.size:
-        pred_u = classify_nn(unseen_points, space)
-        a_u = per_class_accuracy(pred_u, unseen_truth, np.unique(unseen_truth))
-    else:
-        a_u = 0.0
-    if seen_truth.size:
-        pred_s = classify_nn(seen_points, space)
-        a_s = per_class_accuracy(pred_s, seen_truth, np.unique(seen_truth))
-    else:
-        a_s = 0.0
-    return GzslScores(a_unseen=a_u, a_seen=a_s, harmonic=harmonic_mean(a_u, a_s))
+
+    def accuracy(pred, truth):
+        truth = np.asarray(truth)
+        return per_class_accuracy(pred, truth, np.unique(truth)) if truth.size else 0.0
+
+    a_u, a_s = accuracy(pred_unseen, truth_unseen), accuracy(pred_seen, truth_seen)
+    return {"A_UT": a_u, "A_ST": a_s, "H": harmonic_mean(a_u, a_s)}
 
 
 @dataclass(frozen=True)
@@ -194,7 +153,10 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
             (assignments[:, None] * d + columns).ravel(), weights=X.ravel(), minlength=k * d
         )
         centers = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
-    assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers, norms), norms)
+    else:
+        # out of iterations: the centroids moved after the last assignment.
+        # A converged run breaks with the assignment of its final centroids.
+        assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers, norms), norms)
     inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
     return KmeansResult(centroids=centers, assignments=assignments, inertia=inertia)
 
@@ -236,13 +198,7 @@ def optimal_assignment(cost) -> np.ndarray:
 
 
 def transductive_predict(
-    points,
-    class_ids,
-    embeddings,
-    *,
-    seed: int = 0,
-    n_init: int = 5,
-    max_iter: int = 100,
+    points, space: SearchSpace, *, seed: int = 0, n_init: int = 5
 ) -> np.ndarray:
     """Structured prediction over the whole test collection.
 
@@ -251,15 +207,13 @@ def transductive_predict(
     centroid-to-embedding distances, and every member of a cluster receives
     its matched class.
     """
-    ids = np.asarray([int(c) for c in class_ids], dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids, emb = ids[order], np.atleast_2d(np.asarray(embeddings, dtype=np.float64))[order]
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if X.shape[0] < len(ids):
-        raise ValueError(f"{X.shape[0]} test points cannot cover {len(ids)} classes")
-    clusters = kmeans(X, len(ids), seed=seed, max_iter=max_iter, n_init=n_init)
-    perm = optimal_assignment(_pairwise_sq_dists(clusters.centroids, emb))
-    return ids[perm][clusters.assignments]
+    k = len(space.class_ids)
+    if X.shape[0] < k:
+        raise ValueError(f"{X.shape[0]} test points cannot cover {k} classes")
+    clusters = kmeans(X, k, seed=seed, n_init=n_init)
+    perm = optimal_assignment(_pairwise_sq_dists(clusters.centroids, space.embeddings))
+    return np.asarray(space.class_ids)[perm][clusters.assignments]
 
 
 @dataclass

@@ -9,8 +9,7 @@ from zslkit.zsl_eval import (
     aggregate_metrics,
     build_report,
     classify_nn,
-    evaluate_czsl,
-    evaluate_gzsl,
+    gzsl_scores,
     harmonic_mean,
     kmeans,
     load_report,
@@ -41,6 +40,13 @@ def explicit_argmin(points, embeddings):
     return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
 
 
+def gzsl_nn(unseen_points, unseen_truth, seen_points, seen_truth, space):
+    """Generalised scores of nearest-neighbour predictions over one space."""
+    return gzsl_scores(
+        classify_nn(unseen_points, space), unseen_truth, classify_nn(seen_points, space), seen_truth
+    )
+
+
 def grid_points(rng, n, offset):
     """Points of a 0.1-spaced grid: distances tie up to rounding or exactly."""
     return rng.integers(-3, 4, size=(n, 3)) * 0.1 + offset
@@ -60,12 +66,12 @@ def exhaustive_two_partition_wcss(points):
 
 class TestClassifyNn:
     def test_exact_embedding_match(self):
-        space = SearchSpace.unseen_only([3, 8], [[0.0, 0.0], [5.0, 5.0]])
+        space = SearchSpace([3, 8], [[0.0, 0.0], [5.0, 5.0]])
         pred = classify_nn([[5.0, 5.0]], space)
         assert pred.tolist() == [8]
 
     def test_tie_breaks_to_smallest_id(self):
-        space = SearchSpace.unseen_only([7, 3], [[1.0, 0.0], [-1.0, 0.0]])
+        space = SearchSpace([7, 3], [[1.0, 0.0], [-1.0, 0.0]])
         pred = classify_nn([[0.0, 0.0]], space)
         assert pred.tolist() == [3]
 
@@ -73,17 +79,32 @@ class TestClassifyNn:
     def test_grid_ties_match_explicit_argmin(self, offset):
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            space = SearchSpace.unseen_only(rng.permutation(50)[:20], grid_points(rng, 20, offset))
+            space = SearchSpace(rng.permutation(50)[:20], grid_points(rng, 20, offset))
             points = grid_points(rng, 80, offset)
             want = np.asarray(space.class_ids)[explicit_argmin(points, space.embeddings)]
             np.testing.assert_array_equal(classify_nn(points, space), want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_prediction_does_not_depend_on_batch(self, offset):
+        # the far-out row widens the rounding slack of any batch holding it,
+        # so the stacked call decides more rows on exact values than the
+        # call on `a` alone; each row must still get the same class
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            space = SearchSpace(rng.permutation(50)[:20], grid_points(rng, 20, offset))
+            a = grid_points(rng, 80, offset)
+            b = np.vstack([grid_points(rng, 40, offset), np.full((1, 3), 1e4)])
+            np.testing.assert_array_equal(
+                classify_nn(np.vstack([a, b]), space),
+                np.concatenate([classify_nn(a, space), classify_nn(b, space)]),
+            )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         ids = [4, 1, 9, 2, 6]
         emb = rng.normal(size=(5, 3))
         points = rng.normal(size=(50, 3))
-        space = SearchSpace.unseen_only(ids, emb)
+        space = SearchSpace(ids, emb)
         pred = classify_nn(points, space)
         np.testing.assert_array_equal(pred, brute_force_nn(points, ids, emb))
 
@@ -92,7 +113,7 @@ class TestClassifyNn:
         ids = [0, 1, 2]
         emb = rng.normal(size=(3, 4))
         points = rng.normal(size=(20, 4))
-        space = SearchSpace.unseen_only(ids, emb)
+        space = SearchSpace(ids, emb)
         pred = classify_nn(points, space)
         for transform in (lambda d: d**2, np.exp, lambda d: 3 * d + 1):
             np.testing.assert_array_equal(
@@ -101,8 +122,8 @@ class TestClassifyNn:
 
     def test_empty_search_space(self):
         with pytest.raises(ValueError):
-            SearchSpace.unseen_only([], np.zeros((0, 2)))
-            classify_nn([[0.0, 0.0]], SearchSpace.unseen_only([], np.zeros((0, 2))))
+            SearchSpace([], np.zeros((0, 2)))
+            classify_nn([[0.0, 0.0]], SearchSpace([], np.zeros((0, 2))))
 
 
 class TestPerClassAccuracy:
@@ -156,8 +177,9 @@ class TestCzsl:
         for c in range(3):
             points.append(emb[c] + 0.1 * rng.normal(size=(20, 2)))
             truth += [c] * 20
-        space = SearchSpace.unseen_only(range(3), emb)
-        assert evaluate_czsl(np.vstack(points), truth, space) == 1.0
+        space = SearchSpace(range(3), emb)
+        pred = classify_nn(np.vstack(points), space)
+        assert per_class_accuracy(pred, truth, space.class_ids) == 1.0
 
     def test_chance_level_with_random_embeddings(self):
         rng = np.random.default_rng(5)
@@ -167,13 +189,14 @@ class TestCzsl:
         truth = rng.integers(0, n_u, size=1000)
         # guarantee every class appears
         truth[:n_u] = np.arange(n_u)
-        space = SearchSpace.unseen_only(range(n_u), emb)
-        acc = evaluate_czsl(points, truth, space)
+        space = SearchSpace(range(n_u), emb)
+        acc = per_class_accuracy(classify_nn(points, space), truth, space.class_ids)
         assert abs(acc - 1.0 / n_u) < 0.05
 
     def test_single_unseen_class(self):
-        space = SearchSpace.unseen_only([3], [[1.0, 1.0]])
-        acc = evaluate_czsl(np.random.default_rng(6).normal(size=(10, 2)), [3] * 10, space)
+        space = SearchSpace([3], [[1.0, 1.0]])
+        pred = classify_nn(np.random.default_rng(6).normal(size=(10, 2)), space)
+        acc = per_class_accuracy(pred, [3] * 10, space.class_ids)
         assert acc == 1.0
 
 
@@ -185,7 +208,7 @@ class TestGzsl:
         unseen_emb = np.array([[0.0, 8.0], [8.0, 8.0]])
         if far_unseen:
             unseen_emb = unseen_emb + 1e6
-        space = SearchSpace.seen_plus_unseen(seen_ids, seen_emb, unseen_ids, unseen_emb)
+        space = SearchSpace(seen_ids + unseen_ids, np.vstack([seen_emb, unseen_emb]))
         seen_pts = np.vstack(
             [seen_emb[i] + 0.3 * rng.normal(size=(10, 2)) for i in range(2)]
         )
@@ -198,41 +221,41 @@ class TestGzsl:
         return unseen_pts, unseen_truth, seen_pts, seen_truth, space
 
     def test_points_on_embeddings_score_ones(self):
-        space = SearchSpace.seen_plus_unseen([0], [[0.0, 0.0]], [1], [[5.0, 5.0]])
-        scores = evaluate_gzsl([[5.0, 5.0]], [1], [[0.0, 0.0]], [0], space)
-        assert (scores.a_unseen, scores.a_seen, scores.harmonic) == (1.0, 1.0, 1.0)
+        space = SearchSpace([0, 1], [[0.0, 0.0], [5.0, 5.0]])
+        scores = gzsl_nn([[5.0, 5.0]], [1], [[0.0, 0.0]], [0], space)
+        assert scores == {"A_UT": 1.0, "A_ST": 1.0, "H": 1.0}
 
     def test_unseen_embeddings_at_infinity(self):
         u_pts, u_truth, s_pts, s_truth, space = self.setup_instance(far_unseen=True)
-        scores = evaluate_gzsl(u_pts, u_truth, s_pts, s_truth, space)
-        assert scores.a_unseen == 0.0
-        assert scores.harmonic == 0.0
-        seen_only = SearchSpace.unseen_only([0, 1], space.embeddings[:2])
+        scores = gzsl_nn(u_pts, u_truth, s_pts, s_truth, space)
+        assert scores["A_UT"] == 0.0
+        assert scores["H"] == 0.0
+        seen_only = SearchSpace([0, 1], space.embeddings[:2])
         pred = classify_nn(s_pts, seen_only)
-        assert scores.a_seen == per_class_accuracy(pred, s_truth, [0, 1])
+        assert scores["A_ST"] == per_class_accuracy(pred, s_truth, [0, 1])
 
     def test_matches_brute_force(self):
         u_pts, u_truth, s_pts, s_truth, space = self.setup_instance()
-        scores = evaluate_gzsl(u_pts, u_truth, s_pts, s_truth, space)
+        scores = gzsl_nn(u_pts, u_truth, s_pts, s_truth, space)
         ids = list(space.class_ids)
         emb = space.embeddings
-        for pts, truth, got in ((u_pts, u_truth, scores.a_unseen), (s_pts, s_truth, scores.a_seen)):
+        for pts, truth, got in ((u_pts, u_truth, scores["A_UT"]), (s_pts, s_truth, scores["A_ST"])):
             pred = brute_force_nn(pts, ids, emb)
             accs = []
             for c in np.unique(truth):
                 mask = truth == c
                 accs.append(np.mean(pred[mask] == c))
             assert got == pytest.approx(np.mean(accs))
-        assert scores.harmonic == pytest.approx(
-            harmonic_mean(scores.a_unseen, scores.a_seen)
+        assert scores["H"] == pytest.approx(
+            harmonic_mean(scores["A_UT"], scores["A_ST"])
         )
 
     def test_empty_unseen_reduces_to_seen_only(self):
         _, _, s_pts, s_truth, space = self.setup_instance()
-        scores = evaluate_gzsl(np.zeros((0, 2)), [], s_pts, s_truth, space)
-        assert scores.a_unseen == 0.0
-        assert scores.harmonic == 0.0
-        assert scores.a_seen > 0.9
+        scores = gzsl_nn(np.zeros((0, 2)), [], s_pts, s_truth, space)
+        assert scores["A_UT"] == 0.0
+        assert scores["H"] == 0.0
+        assert scores["A_ST"] > 0.9
 
 
 class TestKmeans:
@@ -264,9 +287,12 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)
 
-    @pytest.mark.parametrize("max_iter", [0, 100])
+    @pytest.mark.parametrize("max_iter", [0, 1, 100])
     def test_grid_assignment_matches_explicit_argmin(self, max_iter):
-        # max_iter=0 keeps the k-means++ centres, which are grid points
+        # max_iter=0 keeps the k-means++ centres, which are grid points;
+        # max_iter=1 stops before converging, so the final assignment is
+        # made after the loop, to centroids that are the means of the
+        # assignment to those centres
         for seed in range(6):
             rng = np.random.default_rng(seed)
             pts = grid_points(rng, 80, 1e3)
@@ -276,7 +302,11 @@ class TestKmeans:
             diff = pts - result.centroids[assign]
             assert result.inertia == float(np.einsum("ij,ij->i", diff, diff).sum())
             if max_iter:
-                means = [pts[assign == c].mean(axis=0) for c in range(8)]
+                members = assign
+                if max_iter == 1:
+                    seeding = kmeans(pts, 8, seed=seed, max_iter=0).centroids
+                    members = explicit_argmin(pts, seeding)
+                means = [pts[members == c].mean(axis=0) for c in range(8)]
                 np.testing.assert_array_equal(result.centroids, means)
 
 
@@ -326,9 +356,9 @@ class TestTransductive:
         rng = np.random.default_rng(12)
         emb = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
         pts = np.vstack([emb[c] + 0.2 * rng.normal(size=(15, 2)) for c in range(3)])
-        space = SearchSpace.unseen_only(range(3), emb)
+        space = SearchSpace(range(3), emb)
         inductive = classify_nn(pts, space)
-        trans = transductive_predict(pts, range(3), emb, seed=0)
+        trans = transductive_predict(pts, space, seed=0)
         np.testing.assert_array_equal(inductive, trans)
 
     def test_boundary_points_inherit_cluster_label(self):
@@ -340,9 +370,9 @@ class TestTransductive:
         boundary = np.array([[4.2]])  # nearer to embedding B, belongs to cluster A
         pts = np.vstack([cluster_a, boundary, cluster_b])
         emb = np.array([[0.0], [7.0]])
-        space = SearchSpace.unseen_only([0, 1], emb)
+        space = SearchSpace([0, 1], emb)
         inductive = classify_nn(pts, space)
-        trans = transductive_predict(pts, [0, 1], emb, seed=0, n_init=5)
+        trans = transductive_predict(pts, space, seed=0, n_init=5)
         assert inductive[30] == 1  # |4.2-7| < |4.2-0|
         assert trans[30] == 0  # clustered with A, cluster mapped to class 0
         assert not np.array_equal(inductive, trans)
@@ -352,19 +382,20 @@ class TestTransductive:
         emb = rng.normal(size=(3, 2)) * 5
         pts = np.vstack([emb[c] + 0.3 * rng.normal(size=(12, 2)) for c in range(3)])
         perm = rng.permutation(len(pts))
-        a = transductive_predict(pts, range(3), emb, seed=7)
-        b = transductive_predict(pts[perm], range(3), emb, seed=7)
+        space = SearchSpace(range(3), emb)
+        a = transductive_predict(pts, space, seed=7)
+        b = transductive_predict(pts[perm], space, seed=7)
         np.testing.assert_array_equal(a[perm], b)
 
     def test_fewer_points_than_classes(self):
         with pytest.raises(ValueError):
-            transductive_predict(np.zeros((1, 2)), [0, 1], np.zeros((2, 2)))
+            transductive_predict(np.zeros((1, 2)), SearchSpace([0, 1], np.zeros((2, 2))))
 
     def test_cluster_assignment_is_bijective_partition(self):
         rng = np.random.default_rng(15)
         emb = rng.normal(size=(4, 3)) * 6
         pts = np.vstack([emb[c] + 0.3 * rng.normal(size=(9, 3)) for c in range(4)])
-        pred = transductive_predict(pts, [5, 2, 9, 0], emb, seed=1)
+        pred = transductive_predict(pts, SearchSpace([5, 2, 9, 0], emb), seed=1)
         # every point gets a class, every class gets exactly one cluster, and
         # each embedding row stays paired with its own (unsorted) class id
         np.testing.assert_array_equal(pred, np.repeat([5, 2, 9, 0], 9))
