@@ -81,7 +81,9 @@ def _slack(x2_max: float, y2_max: float, d: int) -> float:
     return 8.0 * (d + 2) * _EPS * (x2_max + y2_max)
 
 
-def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, x_norms=None) -> np.ndarray:
+def _pairwise_sq_dists(
+    X: np.ndarray, Y: np.ndarray, x_norms=None, y_norms=None, zero=None
+) -> np.ndarray:
     """Squared Euclidean distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y,
     blocked over rows of X within _BLOCK_BYTES, so the memory beyond the
     (n, m) result is O(block * m) rather than O(n * m * d).
@@ -90,10 +92,12 @@ def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, x_norms=None) -> np.ndarray
     differences, so coincident rows are exactly 0; every other entry is
     within _slack of the explicit-difference value. Callers whose outcome
     hangs on ties (kNN cutoffs, argmins) refine those with _exact_sq_dists.
-    Callers that measure one X against many Y pass x_norms = _sq_norms(X).
+    Callers that reuse an operand pass its _sq_norms as x_norms or y_norms.
+    zero = (rows, cols) names pairs known to coincide (X[rows] == Y[cols]):
+    they are set to 0 without being recomputed.
     """
     x2, x2_max = _sq_norms(X) if x_norms is None else x_norms
-    y2, y2_max = _sq_norms(Y)
+    y2, y2_max = _sq_norms(Y) if y_norms is None else y_norms
     slack = _slack(x2_max, y2_max, X.shape[1])
     out = np.empty((X.shape[0], Y.shape[0]))
     step = max(1, _BLOCK_BYTES // (9 * max(1, Y.shape[0])))
@@ -104,12 +108,21 @@ def _pairwise_sq_dists(X: np.ndarray, Y: np.ndarray, x_norms=None) -> np.ndarray
         block *= -2.0
         block += x2[rows, None]
         block += y2
-        # includes every negative entry; flatnonzero is far cheaper than a
-        # 2-D nonzero and divmod gives the same pairs in the same order
-        flat = np.flatnonzero(block <= slack)
+        near = block <= slack  # includes every negative entry
+        if zero is not None:
+            zr, zc = zero
+            if block.shape[0] < out.shape[0]:  # this block's pairs only
+                mine = (zr >= start) & (zr < start + step)
+                zr, zc = zr[mine] - start, zc[mine]
+            near[zr, zc] = False
+        # a flat nonzero is far cheaper than a 2-D one, and divmod gives the
+        # same pairs in the same order
+        flat = near.ravel().nonzero()[0]
         if flat.size:
             i, j = np.divmod(flat, block.shape[1])
             block[i, j] = _exact_sq_dists(X, Y, i + start, j)
+    if zero is not None:
+        out[zero] = 0.0
     return out
 
 
@@ -126,15 +139,18 @@ def _exact_sq_dists(X: np.ndarray, Y: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray, x_norms=None) -> np.ndarray:
+def _nearest(
+    X: np.ndarray, Y: np.ndarray, d2: np.ndarray, x_norms=None, y_norms=None
+) -> np.ndarray:
     """Row-wise argmin of d2 = _pairwise_sq_dists(X, Y). Rows whose runner-up
     lies within the rounding slack of the minimum are decided on exact
-    values, so an exact tie still goes to the smallest column. x_norms is
-    _sq_norms(X), as for _pairwise_sq_dists."""
+    values, so an exact tie still goes to the smallest column. x_norms and
+    y_norms are _sq_norms(X) and _sq_norms(Y), as for _pairwise_sq_dists."""
     best = np.argmin(d2, axis=1)
     low = d2[np.arange(d2.shape[0]), best]
     x2_max = (_sq_norms(X) if x_norms is None else x_norms)[1]
-    slack = _slack(x2_max, _sq_norms(Y)[1], X.shape[1])
+    y2_max = (_sq_norms(Y) if y_norms is None else y_norms)[1]
+    slack = _slack(x2_max, y2_max, X.shape[1])
     near = d2 <= low[:, None] + 2.0 * slack
     rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
     if rows.size:
@@ -145,6 +161,14 @@ def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray, x_norms=None) -> np.n
     return best
 
 
+def _sq_dists_to_row(X: np.ndarray, norms, i) -> np.ndarray:
+    """Squared distances of every row of X to row i, where norms is
+    _sq_norms(X): row i's norm is reused and its own entry is exactly 0."""
+    i = np.array([i])
+    row_norms = (norms[0][i], norms[0][i[0]])
+    return _pairwise_sq_dists(X, X[i], norms, row_norms, (i, np.zeros_like(i)))[:, 0]
+
+
 def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007): the first row is drawn
     uniformly, each further row with probability proportional to its squared
@@ -153,12 +177,12 @@ def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     norms = _sq_norms(X)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = _pairwise_sq_dists(X, X[chosen[:1]], norms)[:, 0]
+    d2 = _sq_dists_to_row(X, norms, chosen[0])
     for j in range(1, k):
         total = d2.sum()
         # a zero total means every row coincides with a row already drawn
         chosen[j] = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
-        d2 = np.minimum(d2, _pairwise_sq_dists(X, X[chosen[j : j + 1]], norms)[:, 0])
+        np.minimum(d2, _sq_dists_to_row(X, norms, chosen[j]), out=d2)
     return chosen
 
 
@@ -543,19 +567,33 @@ def lsm_embed(
     eps = 1e-12
     delta_uu_floor = np.maximum(delta_uu, eps)
 
+    # every stress evaluation measures Y against [landmarks; Y]: that array
+    # and its squared norms are kept in buffers whose landmark rows are
+    # filled once, and Y's distances to itself are exactly 0 on the diagonal
+    points = np.empty((n_s + n_u, d_latent))
+    points[:n_s] = landmarks
+    points2 = np.empty(n_s + n_u)
+    points2[:n_s], lm2_max = _sq_norms(landmarks)
+    own = np.arange(n_u)
+    diagonal = (own, own + n_s)
+
     def evaluate(Y):
-        dist = np.sqrt(_pairwise_sq_dists(Y, np.concatenate([landmarks, Y])))
+        points[n_s:] = Y
+        y_norms = _sq_norms(Y)
+        points2[n_s:] = y_norms[0]
+        p_norms = (points2, max(lm2_max, y_norms[1]))
+        dist = np.sqrt(_pairwise_sq_dists(Y, points, y_norms, p_norms, diagonal))
         d_us, d_uu = dist[:, :n_s], dist[:, n_s:]
-        stress = np.sum((delta_us - d_us) ** 2 / delta_us)
+        stress = ((delta_us - d_us) ** 2 / delta_us).sum()
         if n_u > 1:
-            stress += np.sum((delta_upper - d_uu[iu]) ** 2 / delta_upper)
+            stress += ((delta_upper - d_uu[iu]) ** 2 / delta_upper).sum()
         return stress / sum_delta, (d_us, d_uu)
 
     def gradient(Y, dists):
         d_us, d_uu = dists
         coef = (delta_us - d_us) / (delta_us * np.maximum(d_us, eps))  # (u, s)
         coef_uu = (delta_uu - d_uu) / (delta_uu_floor * np.maximum(d_uu, eps))
-        np.fill_diagonal(coef_uu, 0.0)
+        coef_uu[own, own] = 0.0
         weight = coef.sum(axis=1) + coef_uu.sum(axis=1)
         grad = weight[:, None] * Y - coef @ landmarks - coef_uu @ Y
         return -2.0 * grad / sum_delta

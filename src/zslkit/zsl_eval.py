@@ -25,6 +25,7 @@ from .embedding import (
     _kmeanspp_indices,
     _nearest,
     _pairwise_sq_dists,
+    _sq_dists_to_row,
     _sq_norms,
 )
 from .errors import DataError
@@ -127,10 +128,15 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
     k, d = centers.shape
     points, columns = np.arange(X.shape[0]), np.arange(d)
     norms = _sq_norms(X)
+
+    def assign(centers):
+        c_norms = _sq_norms(centers)
+        d2 = _pairwise_sq_dists(X, centers, norms, c_norms)
+        return d2, _nearest(X, centers, d2, norms, c_norms)
+
     assignments = None
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(X, centers, norms)
-        new_assign = _nearest(X, centers, d2, norms)
+        d2, new_assign = assign(centers)
         # empty-cluster repair, in cluster order: move the centroid to the
         # point farthest from the centroid it is currently assigned to
         c = 0
@@ -141,7 +147,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
             c += int(empty[0])
             worst = int(np.argmax(_exact_sq_dists(X, centers, points, new_assign)))
             centers[c] = X[worst]
-            d2[:, c] = _pairwise_sq_dists(X, centers[c : c + 1], norms)[:, 0]
+            d2[:, c] = _sq_dists_to_row(X, norms, worst)
             new_assign = _nearest(X, centers, d2, norms)
             c += 1
         if assignments is not None and np.array_equal(new_assign, assignments):
@@ -156,7 +162,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
     else:
         # out of iterations: the centroids moved after the last assignment.
         # A converged run breaks with the assignment of its final centroids.
-        assignments = _nearest(X, centers, _pairwise_sq_dists(X, centers, norms), norms)
+        assignments = assign(centers)[1]
     inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
     return KmeansResult(centroids=centers, assignments=assignments, inertia=inertia)
 

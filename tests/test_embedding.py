@@ -109,6 +109,25 @@ class TestDistanceKernel:
         off = want > 0
         assert np.max(np.abs(got[off] - want[off]) / want[off]) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_known_zero_pairs_match_the_plain_kernel(self, monkeypatch, offset):
+        # four rows of X per block: the known pairs sit in blocks 6 and 7.
+        # Y repeats rows (grid_points copies Y[2:4] to Y[:2]) and rows 3, 10
+        # and 17 of X copy rows of Y, so entries within slack besides the
+        # known pairs must still be recomputed by explicit differences
+        rng = np.random.default_rng(3)
+        Y = grid_points(rng, 12, 8, offset)
+        picked = np.array([7, 2, 7, 11, 0])
+        X = np.vstack([grid_points(rng, 25, 8, offset), Y[picked]])
+        X[[3, 10, 17]] = Y[[5, 9, 1]]
+        zero = (np.arange(25, 30), picked)
+        monkeypatch.setattr(embedding, "_BLOCK_BYTES", 9 * Y.shape[0] * 4)
+        got = _pairwise_sq_dists(X, Y, y_norms=embedding._sq_norms(Y), zero=zero)
+        np.testing.assert_array_equal(got, _pairwise_sq_dists(X, Y))
+        want = explicit_sq_dists(X, Y)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.count_nonzero(got == 0.0) >= picked.size + 3
+
 
 def kmeanspp_reference(X, k, rng):
     """Test-side k-means++ seeding by explicit differences."""
@@ -551,6 +570,40 @@ class TestLsmEmbed:
             assert trace.final_stress == finals[best]
             chosen.append(best)
         assert any(chosen)
+
+    @staticmethod
+    def coincident_instance(case):
+        """4 landmarks and 2 unseen classes in 20-D, and a start Y0 whose two
+        unseen rows coincide ("unseen") or whose first sits on landmark 2
+        ("landmark"). The offset and seed make the Gram form round those
+        coincident pairs away from 0 (on OpenBLAS), so only the exact pass
+        brings them back. The seen-seen targets are the kernel's own
+        landmark distances, so the target scale is exactly 1."""
+        rng = np.random.default_rng(22)
+        pts = rng.normal(size=(6, 20)) * 2.0 + 50.0
+        landmarks = pts[:4]
+        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        dist[:4, :4] = np.sqrt(_pairwise_sq_dists(landmarks, landmarks))
+        Y0 = rng.normal(size=(2, 20)) * 2.0 + 50.0
+        if case == "unseen":
+            Y0[1] = Y0[0]
+        else:
+            Y0[0] = landmarks[2]
+        return landmarks, dist, Y0
+
+    @pytest.mark.parametrize("case", ["unseen", "landmark"])
+    def test_stress_equals_the_plain_kernel_expression(self, case):
+        landmarks, dist, Y0 = self.coincident_instance(case)
+        order = list(range(6))
+        _, trace = lsm_embed(landmarks, order[:4], dist, order, [4, 5], init=Y0, max_iter=0)
+        d = np.sqrt(_pairwise_sq_dists(Y0, np.concatenate([landmarks, Y0])))
+        d_us, d_uu = d[:, :4], d[:, 4:]
+        assert (d_uu[0, 1] if case == "unseen" else d_us[0, 2]) == 0.0
+        delta_us, delta_upper = dist[4:, :4], dist[4, 5]
+        stress = np.sum((delta_us - d_us) ** 2 / delta_us)
+        stress += np.sum((delta_upper - d_uu[[0], [1]]) ** 2 / delta_upper)
+        stress /= delta_us.sum() + delta_upper
+        assert trace.stresses.tolist() == [stress]
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(14)
