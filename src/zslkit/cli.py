@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Subcommands: encode, evaluate, sweep, synth, report. Flags override values
-from an optional JSON config file (--config); every run writes a config
-echo with all resolved values and seeds, sufficient to reproduce its
+Subcommands: encode, evaluate, sweep, synth, report. Every run writes a
+config echo with all resolved values and seeds, sufficient to reproduce its
 outputs byte for byte.
+
+Options are merged once, in main, before dispatch: a flag on the command
+line wins over a --config file's value, which wins over the parser's
+default. Config keys are the flags' dest names; the file's values become
+the subcommand's parser defaults, converted as the flags convert them, and
+each cmd_* reads one namespace.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Failures emit one JSON object {"error", "message"} on stderr.
@@ -24,28 +29,24 @@ from .errors import ConfigError, DataError, NumericalError
 METHODS = ("td", "awv", "fwv", "afv", "ffv")
 FISHER_METHODS = ("fwv", "ffv")
 
-
-def _resolve(args, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _load_config_file(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    if not isinstance(payload, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return payload
+# Dests that set EvalConfig fields, which give their defaults. A config file
+# may set holdout_fraction, lsm_max_iter and lsm_restarts (and, for sweep,
+# cv), which have no flag.
+EVAL_FIELDS = {
+    "d_latent": "d_latent", "neighbors": "n_neighbors", "width_scale": "width_scale",
+    "holdout_fraction": "holdout_fraction", "lsm_max_iter": "lsm_max_iter",
+    "lsm_restarts": "lsm_restarts", "cv": "cv",
+}
+# Config keys that take a JSON list or a string: a comma list for settings
+# and values, one path for inputs.
+LIST_KEYS = ("settings", "values", "inputs")
+# Options each subcommand cannot run without, by dest.
+REQUIRED = {
+    "encode": ("manifest", "method"),
+    "evaluate": ("manifest", "space"),
+    "sweep": ("axis", "values", "manifest"),
+    "report": ("inputs",),
+}
 
 
 def _token_docs(dataset, stopword_path):
@@ -120,23 +121,12 @@ def _validate_method(method, k):
 
 
 def cmd_encode(args) -> int:
-    config = _load_config_file(args)
-    method = _resolve(args, config, "method", None)
-    k = int(_resolve(args, config, "k", 1))
-    seed = int(_resolve(args, config, "seed", 0))
-    normalize = bool(_resolve(args, config, "normalize", False))
-    out_dir = Path(_resolve(args, config, "out", "encode_out"))
-    if method is None:
-        raise ConfigError("encode needs --method")
+    method, k = args.method, args.k
     _validate_method(method, k)
-
-    dataset = data_io.load_dataset(_resolve(args, config, "manifest", None) or _missing("manifest"))
-    sources, notes = _load_sources(
-        dataset, method,
-        _resolve(args, config, "stopwords", None),
-        _resolve(args, config, "embeddings", None),
-    )
-    space, _ = _encode_space(sources, method, k, seed, normalize)
+    dataset = data_io.load_dataset(args.manifest)
+    sources, notes = _load_sources(dataset, method, args.stopwords, args.embeddings)
+    space, _ = _encode_space(sources, method, k, args.seed, args.normalize)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     extra = {"method": method, "dataset": dataset.name}
     if method in FISHER_METHODS:
@@ -147,8 +137,8 @@ def cmd_encode(args) -> int:
         "dataset": dataset.name,
         "method": method,
         "k": k if method in FISHER_METHODS else None,
-        "normalize": normalize,
-        "seed": seed,
+        "normalize": args.normalize,
+        "seed": args.seed,
         "notes": notes,
     }
     data_io.write_json(echo, out_dir / "encode_config.json")
@@ -156,69 +146,46 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _missing(name):
-    raise ConfigError(f"missing required option --{name}")
-
-
-def _eval_config_from(args, config) -> pipeline.EvalConfig:
-    settings = _resolve(args, config, "settings", "czsl,gzsl")
-    if isinstance(settings, str):
-        settings = [s.strip() for s in settings.split(",") if s.strip()]
-    unknown = set(settings) - {"czsl", "gzsl"}
+def _eval_config(args) -> pipeline.EvalConfig:
+    settings = {s.strip() for s in args.settings.split(",") if s.strip()}
+    unknown = settings - {"czsl", "gzsl"}
     if unknown:
         raise ConfigError(f"unknown settings {sorted(unknown)}; use czsl,gzsl")
     if not settings:
         raise ConfigError("at least one of czsl,gzsl must be requested")
-    default = pipeline.EvalConfig()
     return pipeline.EvalConfig(
-        d_latent=int(_resolve(args, config, "d_latent", default.d_latent)),
-        n_neighbors=int(_resolve(args, config, "neighbors", default.n_neighbors)),
-        width_scale=float(_resolve(args, config, "width_scale", default.width_scale)),
-        holdout_fraction=float(
-            _resolve(args, config, "holdout_fraction", default.holdout_fraction)
-        ),
-        lsm_max_iter=int(_resolve(args, config, "lsm_max_iter", default.lsm_max_iter)),
-        lsm_restarts=int(_resolve(args, config, "lsm_restarts", default.lsm_restarts)),
+        **{field: getattr(args, dest) for dest, field in EVAL_FIELDS.items()},
         czsl="czsl" in settings,
         gzsl="gzsl" in settings,
-        transductive=bool(_resolve(args, config, "transductive", False)),
-        cv=bool(_resolve(args, config, "cv", default.cv)),
-        seed=int(_resolve(args, config, "seed", default.seed)),
+        transductive=args.transductive,
+        seed=args.seed,
     )
 
 
-def _load_splits(args, config, dataset):
+def _load_splits(args, dataset):
     """The --splits file if given, else seeded splits over the dataset."""
-    splits_path = _resolve(args, config, "splits", None)
-    if splits_path:
-        return data_io.load_splits(splits_path)
-    n_splits = int(_resolve(args, config, "n_splits", 5))
-    n_seen = int(_resolve(args, config, "n_seen", (dataset.n_classes + 1) // 2))
-    seed = int(_resolve(args, config, "seed", 0))
-    return data_io.generate_class_splits(dataset.class_ids, n_seen, n_splits, seed)
+    if args.splits:
+        return data_io.load_splits(args.splits)
+    n_seen = (dataset.n_classes + 1) // 2 if args.n_seen is None else args.n_seen
+    return data_io.generate_class_splits(dataset.class_ids, n_seen, args.n_splits, args.seed)
 
 
-def _load_eval_inputs(args, config):
-    manifest = _resolve(args, config, "manifest", None) or _missing("manifest")
-    space_path = _resolve(args, config, "space", None) or _missing("space")
-    dataset = data_io.load_dataset(manifest)
-    space = data_io.load_semantic_space(space_path)
-    splits = _load_splits(args, config, dataset)
+def cmd_evaluate(args) -> int:
+    cfg = _eval_config(args)
+    dataset = data_io.load_dataset(args.manifest)
+    space = data_io.load_semantic_space(args.space)
+    splits = _load_splits(args, dataset)
     missing = set(dataset.class_ids) - set(space.class_ids)
     if missing:
         raise DataError(f"semantic space lacks dataset classes {sorted(missing)}")
     try:
-        method = json.loads(Path(space_path).read_text())["method"]
+        method = json.loads(Path(args.space).read_text())["method"]
     except (KeyError, json.JSONDecodeError, OSError):
         method = "unknown"
-    return dataset, space, splits, method
-
-
-def _run_and_write_reports(dataset, space, splits, cfg, method, out_dir,
-                           splits_path_written=None):
     reports = pipeline.run_evaluation(
         dataset.name, dataset.features, dataset.labels, space, splits, cfg, method=method,
     )
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for setting, report in reports.items():
@@ -228,23 +195,10 @@ def _run_and_write_reports(dataset, space, splits, cfg, method, out_dir,
     csv_path = out_dir / "report.csv"
     data_io._atomic_write(csv_path, zsl_eval.reports_to_csv(reports.values()).encode("utf-8"))
     written.append(csv_path)
-    if splits_path_written:
-        data_io.save_splits(splits, splits_path_written, dataset=dataset.name)
-        written.append(splits_path_written)
-    return reports, written
-
-
-def cmd_evaluate(args) -> int:
-    config = _load_config_file(args)
-    dataset, space, splits, method = _load_eval_inputs(args, config)
-    cfg = _eval_config_from(args, config)
-    out_dir = Path(_resolve(args, config, "out", "eval_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    splits_written = None if _resolve(args, config, "splits", None) else out_dir / "splits.json"
-    reports, written = _run_and_write_reports(
-        dataset, space, splits, cfg, method, out_dir,
-        splits_path_written=splits_written,
-    )
+    if not args.splits:
+        splits_path = out_dir / "splits.json"
+        data_io.save_splits(splits, splits_path, dataset=dataset.name)
+        written.append(splits_path)
     echo = {"command": "evaluate", "dataset": dataset.name, "method": method,
             "config": cfg.echo()}
     data_io.write_json(echo, out_dir / "evaluate_config.json")
@@ -254,48 +208,41 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config_file(args)
-    axis = _resolve(args, config, "axis", None)
+    axis = args.axis
     if axis not in ("k", "images"):
         raise ConfigError(f"--axis must be k or images, got {axis!r}")
-    values_raw = _resolve(args, config, "values", None) or _missing("values")
-    if isinstance(values_raw, str):
-        try:
-            values = [int(v) for v in values_raw.split(",") if v.strip()]
-        except ValueError as e:
-            raise ConfigError(f"bad --values list {values_raw!r}: {e}") from e
-    else:
-        values = [int(v) for v in values_raw]
+    try:
+        values = [int(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as e:
+        raise ConfigError(f"bad --values list {args.values!r}: {e}") from e
     if not values:
         raise ConfigError("empty --values list")
 
-    method = _resolve(args, config, "method", "ffv" if axis == "k" else "afv")
-    k = int(_resolve(args, config, "k", 1))
-    seed = int(_resolve(args, config, "seed", 0))
-    normalize = bool(_resolve(args, config, "normalize", False))
+    method = args.method or ("ffv" if axis == "k" else "afv")
+    k, seed = args.k, args.seed
     _validate_method(method, k)
     if axis == "k" and method not in FISHER_METHODS:
         raise ConfigError("axis=k sweeps need a Fisher method (fwv or ffv)")
     if axis == "images" and method not in ("afv", "ffv"):
         raise ConfigError("axis=images sweeps need an image method (afv or ffv)")
+    for value in values:
+        if axis == "k":
+            _validate_method(method, value)
+        elif value < 1:
+            raise ConfigError(f"axis=images values must be >= 1, got {value}")
+    cfg = _eval_config(args)
 
-    manifest = _resolve(args, config, "manifest", None) or _missing("manifest")
-    dataset = data_io.load_dataset(manifest)
-    splits = _load_splits(args, config, dataset)
-    cfg = _eval_config_from(args, config)
-    out_dir = Path(_resolve(args, config, "out", "sweep_out"))
+    dataset = data_io.load_dataset(args.manifest)
+    splits = _load_splits(args, dataset)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sources, load_notes = _load_sources(
-        dataset, method,
-        _resolve(args, config, "stopwords", None),
-        _resolve(args, config, "embeddings", None),
-    )
+    sources, load_notes = _load_sources(dataset, method, args.stopwords, args.embeddings)
     rows = []
     notes = {}
     for value in values:
         space, note = _encode_space(
-            sources, method, value if axis == "k" else k, seed, normalize,
+            sources, method, value if axis == "k" else k, seed, args.normalize,
             images_per_class=value if axis == "images" else None,
         )
         note = {**load_notes, **note}
@@ -336,31 +283,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config_file(args)
-    spec_path = _resolve(args, config, "spec", None)
-    if spec_path:
-        spec = synth.load_spec(spec_path)
-    else:
-        spec = synth.SynthSpec()
-    seed = int(_resolve(args, config, "seed", 0))
-    out_dir = Path(_resolve(args, config, "out", "synth_out"))
-    manifest = synth.make_synthetic(spec, seed, out_dir)
-    print(manifest)
+    spec = synth.load_spec(args.spec) if args.spec else synth.SynthSpec()
+    print(synth.make_synthetic(spec, args.seed, Path(args.out)))
     return 0
 
 
 def cmd_report(args) -> int:
-    config = _load_config_file(args)
-    inputs = getattr(args, "inputs", None) or config.get("inputs") or []
-    if not inputs:
-        raise ConfigError("report needs at least one report JSON file")
-    reports = [zsl_eval.load_report(p) for p in inputs]
-    out = _resolve(args, config, "out", None)
+    reports = [zsl_eval.load_report(p) for p in args.inputs]
     text = zsl_eval.reports_to_csv(reports)
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        data_io._atomic_write(out, text.encode("utf-8"))
-        print(out)
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        data_io._atomic_write(args.out, text.encode("utf-8"))
+        print(args.out)
     else:
         sys.stdout.write(text)
     return 0
@@ -375,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
         p.add_argument("--out", help="output directory")
 
     def add_encoder_options(p, k_help):
         p.add_argument("--method", choices=METHODS)
-        p.add_argument("--k", type=int, help=k_help)
-        p.add_argument("--normalize", action="store_const", const=True,
+        p.add_argument("--k", type=int, default=1, help=k_help)
+        p.add_argument("--normalize", action="store_true",
                        help="signed-sqrt + L2 normalization of Fisher encodings")
         p.add_argument("--stopwords", help="stop-word file, one term per line")
         p.add_argument("--embeddings", help="word-vector table file")
@@ -389,10 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_eval_options(p):
         p.add_argument("--manifest", help="dataset manifest JSON")
         p.add_argument("--splits", help="splits file; generated when omitted")
-        p.add_argument("--n-splits", dest="n_splits", type=int)
+        p.add_argument("--n-splits", dest="n_splits", type=int, default=5)
         p.add_argument("--n-seen", dest="n_seen", type=int)
-        p.add_argument("--settings", help="comma list from {czsl,gzsl} (default both)")
-        p.add_argument("--transductive", action="store_const", const=True,
+        p.add_argument("--settings", default="czsl,gzsl",
+                       help="comma list from {czsl,gzsl} (default %(default)s)")
+        p.add_argument("--transductive", action="store_true",
                        help="also run the clustering-based joint prediction")
         p.add_argument("--d-latent", dest="d_latent", type=int)
         p.add_argument("--neighbors", type=int, help="graph neighbour count")
@@ -400,20 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel width as a multiple of the median distance")
         p.add_argument("--workers", type=int,
                        help="accepted and ignored; splits run serially")
+        defaults = pipeline.EvalConfig()
+        p.set_defaults(**{dest: getattr(defaults, f) for dest, f in EVAL_FIELDS.items()})
 
     p = sub.add_parser("encode", help="encode a semantic space from class sources")
     add_common(p)
     p.add_argument("--manifest", help="dataset manifest JSON")
     add_encoder_options(p, "Fisher component count (1..5)")
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, out="encode_out")
 
     p = sub.add_parser("evaluate", help="run the recognition protocols over splits")
     add_common(p)
     p.add_argument("--space", help="semantic-space sidecar JSON")
-    p.add_argument("--cv", action="store_const", const=True,
+    p.add_argument("--cv", action="store_true",
                    help="select hyperparameters by class-wise cross-validation")
     add_eval_options(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, out="eval_out")
 
     p = sub.add_parser("sweep", help="evaluate along an axis of encoder settings")
     add_common(p)
@@ -421,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma list of axis values")
     add_encoder_options(p, "Fisher component count for axis=images")
     add_eval_options(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, out="sweep_out")
 
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")
     add_common(p)
     p.add_argument("--spec", help="synth spec JSON file")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, out="synth_out")
 
     p = sub.add_parser("report", help="merge report JSON files into one CSV")
     add_common(p)
@@ -436,14 +373,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _config_value(key, value, action, default):
+    """A config-file value as its option would hold it from the command line."""
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        kind = "true or false"
+    elif key in LIST_KEYS:
+        if isinstance(value, list):
+            words = [str(v) for v in value]
+            return words if key == "inputs" else ",".join(words)
+        if isinstance(value, str):
+            return [value] if key == "inputs" else value
+        kind = "a list or a string"
+    else:
+        convert = (action.type if action else type(default)) or str
+        kind = convert.__name__
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                return convert(str(value))
+            except ValueError:
+                pass
+    raise ConfigError(f"config key {key!r} takes {kind}, got {value!r}")
+
+
+def _config_defaults(sub, path) -> dict:
+    """The JSON object in the config file at path, checked against the dests
+    of subcommand parser sub and converted into defaults for it."""
     try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    if not isinstance(payload, dict):
+        raise ConfigError("config file must hold a JSON object")
+    actions = {a.dest: a for a in sub._actions}
+    known = (set(actions) | set(sub._defaults)) - {"help", "config", "func"}
+    for key in payload:
+        if key not in known:
+            raise ConfigError(
+                f"unknown config key {key!r}; {sub.prog} takes {', '.join(sorted(known))}"
+            )
+    return {
+        key: _config_value(key, value, actions.get(key), sub.get_default(key))
+        for key, value in payload.items()
+    }
+
+
+def _parse_args(argv):
+    """Merge flag > config file > default into one namespace: the config
+    file's values become the subcommand's defaults and argv is parsed again."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = next(a for a in parser._actions if a.dest == "command")
+        sub = command.choices[args.command]
+        sub.set_defaults(**_config_defaults(sub, args.config))
         args = parser.parse_args(argv)
+    for dest in REQUIRED.get(args.command, ()):
+        if not getattr(args, dest):
+            raise ConfigError(f"missing required option --{dest}")
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    try:
-        return args.func(args)
     except ConfigError as e:
         return _fail(2, e)
     except (DataError, OSError, ValueError) as e:

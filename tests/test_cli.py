@@ -339,3 +339,60 @@ class TestReportCommand:
     def test_no_inputs_is_config_error(self):
         result = run_cli("report")
         assert result.returncode == 2
+
+
+class TestConfigFile:
+    def run_config(self, synth_dir, tmp_path, command, **keys):
+        base = {
+            "manifest": str(synth_dir / "manifest.json"),
+            "splits": str(synth_dir / "splits.json"),
+            "d_latent": 3,
+            "neighbors": 5,
+            "seed": 11,
+            "out": str(tmp_path / "out"),
+        }
+        if command == "evaluate":
+            base["space"] = str(synth_dir / "space.json")
+        else:
+            base.update(axis="images", values="2,4", method="afv", settings="czsl")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**base, **keys}))
+        return run_cli(command, "--config", cfg_path)
+
+    @pytest.mark.parametrize(
+        "command, keys, named",
+        [
+            ("evaluate", {"n_neighbors": 3}, "n_neighbors"),
+            ("evaluate", {"transductive": "false"}, "transductive"),
+            ("evaluate", {"d_latent": "abc"}, "d_latent"),
+            ("evaluate", {"settings": 5}, "settings"),
+            ("sweep", {"values": 5}, "values"),
+            ("sweep", {"axis": "k", "method": "ffv", "values": "1,7"}, "got 7"),
+            ("sweep", {"values": "0"}, "got 0"),
+        ],
+        ids=["unknown-key", "string-bool", "bad-int", "settings-number",
+             "values-number", "k-axis-7", "images-axis-0"],
+    )
+    def test_bad_value_is_config_error(self, synth_dir, tmp_path, command, keys, named):
+        result = self.run_config(synth_dir, tmp_path, command, **keys)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_typed_and_config_only_keys_reach_the_echo(self, synth_dir, tmp_path):
+        result = self.run_config(
+            synth_dir, tmp_path, "evaluate",
+            d_latent="3", lsm_max_iter=50, lsm_restarts=1, holdout_fraction=0.3,
+            settings=["czsl"],
+        )
+        assert result.returncode == 0, result.stderr
+        echo = json.loads((tmp_path / "out" / "evaluate_config.json").read_text())["config"]
+        assert (echo["d_latent"], echo["lsm_max_iter"], echo["lsm_restarts"]) == (3, 50, 1)
+        assert echo["holdout_fraction"] == 0.3
+        assert (echo["czsl"], echo["gzsl"], echo["transductive"]) == (True, False, False)
+        inductive = json.loads((tmp_path / "out" / "report_inductive.json").read_text())
+        assert set(inductive["mean"]) == {"A_UU"}
