@@ -86,9 +86,7 @@ def _load_sources(dataset, method, stopwords, embeddings):
         if skipped:
             notes["skipped_tokens"] = skipped
         return bags, notes
-    if method in ("afv", "ffv"):
-        return [dataset.load_image_bag(info.id) for info in dataset.classes], notes
-    raise ConfigError(f"unknown method {method!r}")
+    return [dataset.load_image_bag(info.id) for info in dataset.classes], notes
 
 
 def _encode_space(sources, method, k, seed, normalize, images_per_class=None):
@@ -271,7 +269,7 @@ def cmd_sweep(args) -> int:
         "axis": axis,
         "values": values,
         "method": method,
-        "k": k,
+        "k": None if axis == "k" else k,
         "dataset": dataset.name,
         "config": cfg.echo(),
         "notes": notes,
@@ -307,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out_help="output directory"):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", help=out_help)
 
     def add_encoder_options(p, k_help):
         p.add_argument("--method", choices=METHODS)
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth, out="synth_out")
 
     p = sub.add_parser("report", help="merge report JSON files into one CSV")
-    add_common(p)
+    add_common(p, out_help="CSV file to write; stdout when omitted")
     p.add_argument("--inputs", nargs="+", help="report JSON files")
     p.set_defaults(func=cmd_report)
 

@@ -390,6 +390,23 @@ def slpp_fit(
     return LatentModel(projection=P, d_latent=d_latent, eigenvalues=eigvals[kept])
 
 
+def leading_directions(model: LatentModel, d_latent: int) -> LatentModel:
+    """The first d_latent directions of a slpp_fit model, as a model of its own.
+
+    slpp_fit keeps informative columns in eigenvalue order and stops at
+    d_latent, so the leading columns of a larger fit on the same data are
+    the columns a fit at d_latent keeps: the result equals that fit bit for
+    bit, in the same memory order.
+    """
+    if not 1 <= d_latent <= model.d_latent:
+        raise ValueError(f"d_latent must be in [1, {model.d_latent}], got {d_latent}")
+    return LatentModel(
+        projection=model.projection[:, :d_latent].copy(order="K"),
+        d_latent=d_latent,
+        eigenvalues=model.eigenvalues[:d_latent].copy(),
+    )
+
+
 def project(model: LatentModel, X) -> np.ndarray:
     """Map visual features into the latent space (row-wise linear map)."""
     X = np.asarray(X, dtype=np.float64)

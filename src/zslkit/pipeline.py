@@ -87,52 +87,56 @@ def _clip_hyperparameters(cfg: EvalConfig, n_train: int, d_visual: int) -> EvalC
     return cfg
 
 
-def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfig) -> dict:
-    """All requested metrics for one seen/unseen split.
-
-    Returns {"inductive": {...}, "transductive": {...}} with metric keys
-    A_UU (conventional) and A_UT/A_ST/H (generalised) as requested.
-    """
-    class_order = list(space.class_ids)
-    missing = (set(split.seen) | set(split.unseen)) - set(class_order)
+def _check_classes(space: SemanticSpace, classes) -> None:
+    missing = set(classes) - set(space.class_ids)
     if missing:
         raise DataError(f"semantic space lacks classes {sorted(missing)}")
-    dist_sem = embedding.semantic_distance_matrix(space)
 
-    seeds = split_seeds(cfg.seed, split.split_index)
 
-    labels = np.asarray(labels)
+def _visual_stage(features, labels, split, cfg: EvalConfig):
+    """Holdout, train/test indices and the hyperparameters clipped to the
+    training set: (partition, clipped cfg). The SLPP fit on partition.train
+    (_slpp) completes the visual stage."""
     if cfg.gzsl:
-        part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seeds["holdout"])
-        train_idx = part.train
-        seen_test_idx = part.seen_test
-        unseen_test_idx = part.unseen_test
-    else:
-        train_idx = np.flatnonzero(np.isin(labels, list(split.seen)))
-        seen_test_idx = np.zeros(0, dtype=np.int64)
-        unseen_test_idx = np.flatnonzero(np.isin(labels, list(split.unseen)))
+        seed = split_seeds(cfg.seed, split.split_index)["holdout"]
+        part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seed)
+    else:  # no holdout: the seen classes train in full
+        part = data_io.GzslPartition(
+            train=np.flatnonzero(np.isin(labels, list(split.seen))),
+            seen_test=np.zeros(0, dtype=np.int64),
+            unseen_test=np.flatnonzero(np.isin(labels, list(split.unseen))),
+            fraction=0.0,
+            seed=0,
+        )
+    return part, _clip_hyperparameters(cfg, part.train.size, features.shape[1])
 
-    X_train = features[train_idx]
-    y_train = labels[train_idx]
-    cfg = _clip_hyperparameters(cfg, X_train.shape[0], X_train.shape[1])
-    model = embedding.slpp_fit(
-        X_train, y_train, d_latent=cfg.d_latent, n_neighbors=cfg.n_neighbors,
-        width_scale=cfg.width_scale,
+
+def _slpp(features, labels, part, cfg: EvalConfig) -> embedding.LatentModel:
+    return embedding.slpp_fit(
+        features[part.train], labels[part.train], d_latent=cfg.d_latent,
+        n_neighbors=cfg.n_neighbors, width_scale=cfg.width_scale,
     )
+
+
+def _scoring_stage(features, labels, space, dist_sem, split, cfg, part, model) -> dict:
+    """Landmarks, the LSM placement of the unseen classes and every requested
+    setting's predictions and scores, from the visual stage's outputs."""
+    seeds = split_seeds(cfg.seed, split.split_index)
     ids, landmarks = embedding.class_landmarks(
-        embedding.project(model, X_train), y_train, class_ids=sorted(split.seen)
+        embedding.project(model, features[part.train]), labels[part.train],
+        class_ids=sorted(split.seen),
     )
     unseen_ids = sorted(int(c) for c in split.unseen)
     unseen_emb, _ = embedding.lsm_embed(
-        landmarks, ids.tolist(), dist_sem, class_order, unseen_ids,
+        landmarks, ids.tolist(), dist_sem, list(space.class_ids), unseen_ids,
         max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol, restarts=cfg.lsm_restarts,
         seed=seeds["lsm"],
     )
 
-    unseen_pts = embedding.project(model, features[unseen_test_idx])
-    unseen_truth = labels[unseen_test_idx]
-    seen_pts = embedding.project(model, features[seen_test_idx])
-    seen_truth = labels[seen_test_idx]
+    unseen_pts = embedding.project(model, features[part.unseen_test])
+    unseen_truth = labels[part.unseen_test]
+    seen_pts = embedding.project(model, features[part.seen_test])
+    seen_truth = labels[part.seen_test]
     space_u = SearchSpace(unseen_ids, unseen_emb)
     space_t = SearchSpace([*ids.tolist(), *unseen_ids], np.vstack([landmarks, unseen_emb]))
 
@@ -158,28 +162,60 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     return out
 
 
+def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfig) -> dict:
+    """All requested metrics for one seen/unseen split.
+
+    Returns {"inductive": {...}, "transductive": {...}} with metric keys
+    A_UU (conventional) and A_UT/A_ST/H (generalised) as requested.
+    """
+    _check_classes(space, [*split.seen, *split.unseen])
+    dist_sem = embedding.semantic_distance_matrix(space)
+    labels = np.asarray(labels)
+    part, cfg = _visual_stage(features, labels, split, cfg)
+    model = _slpp(features, labels, part, cfg)
+    return _scoring_stage(features, labels, space, dist_sem, split, cfg, part, model)
+
+
 def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> dict:
     """Class-wise cross-validation over the configured grid on the split's
     seen classes.
 
     The folds are drawn from the split's "cv" seed, and each fold is scored
-    by evaluate_split in the conventional setting with that seed as master,
-    so every combination meets the same folds and the same LSM starts. The
-    grid is scanned in its declared order; the first combination attaining
-    the best mean conventional accuracy over the folds wins.
+    in the conventional setting with that seed as master, so every
+    combination meets the same folds and the same LSM starts. The grid is
+    scanned in its declared order; the first combination attaining the best
+    mean conventional accuracy over the folds wins.
+
+    Each fold is scored as evaluate_split scores it, with one saving: SLPP
+    is fitted once per fold and (clipped) n_neighbors, width_scale, at the
+    largest clipped d_latent of the grid, and every d_latent takes its
+    leading directions, which equal a fit at that d_latent bit for bit.
+    The fits live for this call only.
     """
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
+    _check_classes(space, split.seen)
+    dist_sem = embedding.semantic_distance_matrix(space)
+    labels = np.asarray(labels)
     fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
+    d_max = max(cfg.cv_grid.get("d_latent", ()), default=cfg.d_latent)
+    fits = {}  # (fold, n_neighbors, width_scale) -> SLPP fit at the largest d_latent
     grid_keys = list(cfg.cv_grid)
     best = None
     for combo in itertools.product(*cfg.cv_grid.values()):
         chosen = dict(zip(grid_keys, combo))
-        trial = replace(fold_cfg, **chosen)
-        scores = [
-            evaluate_split(features, labels, space, fold, trial)["inductive"]["A_UU"]
-            for fold in folds
-        ]
+        scores = []
+        for fold in folds:
+            part, trial = _visual_stage(features, labels, fold, replace(fold_cfg, **chosen))
+            key = (fold.split_index, trial.n_neighbors, trial.width_scale)
+            if key not in fits:
+                top = _clip_hyperparameters(
+                    replace(trial, d_latent=d_max), part.train.size, features.shape[1]
+                )
+                fits[key] = _slpp(features, labels, part, top)
+            model = embedding.leading_directions(fits[key], trial.d_latent)
+            metrics = _scoring_stage(features, labels, space, dist_sem, fold, trial, part, model)
+            scores.append(metrics["inductive"]["A_UU"])
         mean = float(np.mean(scores))
         if best is None or mean > best[0]:
             best = (mean, chosen)

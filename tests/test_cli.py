@@ -94,6 +94,13 @@ class TestParser:
             want = {f.lstrip("-").replace("-", "_") for f in self.FLAGS[name]}
             assert dests == want, name
 
+    def test_out_help_names_what_each_command_writes(self):
+        subs = self.subparsers()
+        helps = {name: next(a.help for a in sub._actions if a.dest == "out")
+                 for name, sub in subs.items()}
+        assert helps.pop("report").startswith("CSV file")
+        assert set(helps.values()) == {"output directory"}
+
 
 class TestSynthCommand:
     def test_outputs_exist(self, synth_dir):
@@ -276,6 +283,8 @@ class TestSweepCommand:
         values = {int(ln.split(",")[0]) for ln in lines[1:]}
         assert values == {2, 4, 10}
         assert "full bags used" in result.stderr  # 10 > 6 images per class
+        echo = json.loads((tmp_path / "sweep_config.json").read_text())
+        assert echo["k"] == 1  # off the k axis, --k (here its default) is echoed
 
     def test_k_axis_rows(self, synth_dir, tmp_path):
         result = run_cli(
@@ -291,6 +300,8 @@ class TestSweepCommand:
         assert result.returncode == 0, result.stderr
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # one czsl metric per k value
+        echo = json.loads((tmp_path / "sweep_config.json").read_text())
+        assert echo["k"] is None and echo["values"] == [1, 2]  # k is the swept axis
 
     def test_rerun_reproduces_curve(self, synth_dir, tmp_path):
         def go(out):

@@ -333,6 +333,26 @@ class TestSlpp:
             value = np.trace(P.T @ A @ P)
             assert fitted <= value + 1e-9
 
+    @pytest.mark.parametrize("n_neighbors,width_scale", [(3, 1.0), (8, 0.5)])
+    def test_smaller_fit_is_the_leading_directions_of_a_larger_one(
+        self, n_neighbors, width_scale
+    ):
+        X, labels = make_blobs(np.random.default_rng(11), n_classes=4, d=12)
+        kw = dict(n_neighbors=n_neighbors, width_scale=width_scale)
+        big = slpp_fit(X, labels, d_latent=9, **kw)
+        for d in (1, 4, 9):
+            small = slpp_fit(X, labels, d_latent=d, **kw)
+            assert np.array_equal(big.projection[:, :d], small.projection)
+            assert np.array_equal(big.eigenvalues[:d], small.eigenvalues)
+            lead = embedding.leading_directions(big, d)
+            assert lead.d_latent == d
+            assert lead.projection.tobytes("A") == small.projection.tobytes("A")
+            for order in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+                assert lead.projection.flags[order] == small.projection.flags[order]
+            assert lead.eigenvalues.tobytes() == small.eigenvalues.tobytes()
+        with pytest.raises(ValueError):
+            embedding.leading_directions(big, 10)
+
     def test_too_many_dimensions_requested(self):
         rng = np.random.default_rng(7)
         X, labels = make_blobs(rng, n_classes=2, per_class=5, d=3)

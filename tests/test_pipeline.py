@@ -1,9 +1,11 @@
+import itertools
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zslkit import data_io, embedding, pipeline, synth
+from zslkit import data_io, embedding, pipeline, synth, zsl_eval
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +198,61 @@ class TestCrossValidation:
             folds = [pipeline.split_seeds(e["cv"], f)["lsm"] for f in range(cfg.cv_n_folds)]
             expected += folds * len(cfg.cv_grid["d_latent"]) + [e["lsm"]]
         assert lsm_seeds == expected
+
+    # n_neighbors 40 and 50 both clip to 29 on a fold's 30 training points,
+    # and d_latent 50 clips to the 12 visual dimensions
+    WIDE_GRID = {"d_latent": (2, 3, 50), "n_neighbors": (5, 40, 50), "width_scale": (1.0, 2.0)}
+
+    def wide_cfg(self):
+        return pipeline.EvalConfig(
+            seed=8, cv=True, cv_n_folds=2, cv_grid=self.WIDE_GRID,
+            transductive=False, gzsl=False, lsm_max_iter=30, lsm_restarts=1,
+        )
+
+    def test_one_slpp_fit_per_fold_and_graph_setting(self, planted, monkeypatch):
+        ds, space, splits = planted
+        cfg = self.wide_cfg()
+        slpp_fit, calls = embedding.slpp_fit, []
+
+        def recording(X, labels, *, d_latent, n_neighbors, width_scale, **kw):
+            classes = tuple(np.unique(labels).tolist())  # names the fold
+            calls.append((classes, X.shape[0], d_latent, n_neighbors, width_scale))
+            return slpp_fit(X, labels, d_latent=d_latent, n_neighbors=n_neighbors,
+                            width_scale=width_scale, **kw)
+
+        monkeypatch.setattr(embedding, "slpp_fit", recording)
+        pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
+        # 2 folds x 2 clipped n_neighbors x 2 width_scale, each at the
+        # largest clipped d_latent
+        assert len(calls) == 2 * 2 * 2
+        assert len(set(calls)) == len(calls)
+        assert {(n, d, k) for _, n, d, k, _ in calls} == {(30, 12, 5), (30, 12, 29)}
+
+    def test_selection_matches_evaluate_split_per_fold(self, planted, monkeypatch):
+        ds, space, splits = planted
+        cfg = self.wide_cfg()
+        split = splits[1]
+        cv_seed = pipeline.split_seeds(cfg.seed, split.split_index)["cv"]
+        folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
+        fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
+        combos = [dict(zip(cfg.cv_grid, c)) for c in itertools.product(*cfg.cv_grid.values())]
+        reference = [
+            pipeline.evaluate_split(ds.features, ds.labels, space, fold,
+                                    replace(fold_cfg, **chosen))["inductive"]["A_UU"]
+            for chosen in combos
+            for fold in folds
+        ]
+        means = [float(np.mean(reference[i:i + len(folds)]))
+                 for i in range(0, len(reference), len(folds))]
+        assert len(set(means)) > 1  # the grid does separate the combinations
+
+        accuracy, scores = zsl_eval.per_class_accuracy, []
+
+        def recording(*args, **kwargs):
+            scores.append(accuracy(*args, **kwargs))
+            return scores[-1]
+
+        monkeypatch.setattr(zsl_eval, "per_class_accuracy", recording)
+        chosen = pipeline.select_hyperparameters(ds.features, ds.labels, space, split, cfg)
+        assert scores == reference
+        assert chosen == combos[means.index(max(means))]
