@@ -139,34 +139,55 @@ def _exact_sq_dists(X: np.ndarray, Y: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def _nearest(
-    X: np.ndarray, Y: np.ndarray, d2: np.ndarray, x_norms=None, y_norms=None
-) -> np.ndarray:
-    """Row-wise argmin of d2 = _pairwise_sq_dists(X, Y). Rows whose runner-up
-    lies within the rounding slack of the minimum are decided on exact
-    values, so an exact tie still goes to the smallest column. x_norms and
-    y_norms are _sq_norms(X) and _sq_norms(Y), as for _pairwise_sq_dists."""
-    best = np.argmin(d2, axis=1)
-    low = d2[np.arange(d2.shape[0]), best]
-    x2_max = (_sq_norms(X) if x_norms is None else x_norms)[1]
-    y2_max = (_sq_norms(Y) if y_norms is None else y_norms)[1]
-    slack = _slack(x2_max, y2_max, X.shape[1])
-    near = d2 <= low[:, None] + 2.0 * slack
-    rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-    if rows.size:
-        r, cols = np.divmod(np.flatnonzero(near[rows]), d2.shape[1])
-        exact = np.full((rows.size, d2.shape[1]), np.inf)
-        exact[r, cols] = _exact_sq_dists(X, Y, rows[r], cols)
-        best[rows] = np.argmin(exact, axis=1)
+def _nearest(X: np.ndarray, Y: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Row-wise argmin of d2 = _pairwise_sq_dists(X, Y), decided as
+    _exact_argmin decides it."""
+    slack = _slack(_sq_norms(X)[1], _sq_norms(Y)[1], X.shape[1])
+    return _exact_argmin(X, Y, d2.T, slack)
+
+
+def _exact_argmin(X: np.ndarray, Y: np.ndarray, scores: np.ndarray, slack: float) -> np.ndarray:
+    """For every row of X, the index of its nearest row of Y by explicit
+    differences, the smallest index on exact ties.
+
+    scores is (len(Y), len(X)): column i holds ||X[i] - Y[j]||^2 up to a
+    constant per column, each entry within slack of its explicit-difference
+    value. A column's minimum decides it unless its runner-up lies within
+    2 * slack; those columns are decided on _exact_sq_dists of the rows
+    within 2 * slack of the minimum. scores is left as it was passed.
+    """
+    points = np.arange(scores.shape[1])
+    best = np.argmin(scores, axis=0)
+    low = scores[best, points]
+    scores[best, points] = np.inf
+    runner_up = np.min(scores, axis=0)
+    scores[best, points] = low
+    tied = np.flatnonzero(runner_up <= low + 2.0 * slack)
+    if tied.size:
+        near = scores[:, tied] <= low[tied] + 2.0 * slack
+        rows, cols = np.divmod(np.flatnonzero(near), tied.size)
+        exact = np.full((tied.size, scores.shape[0]), np.inf)
+        exact[cols, rows] = _exact_sq_dists(X, Y, tied[cols], rows)
+        best[tied] = np.argmin(exact, axis=1)
     return best
 
 
 def _sq_dists_to_row(X: np.ndarray, norms, i) -> np.ndarray:
     """Squared distances of every row of X to row i, where norms is
-    _sq_norms(X): row i's norm is reused and its own entry is exactly 0."""
-    i = np.array([i])
-    row_norms = (norms[0][i], norms[0][i[0]])
-    return _pairwise_sq_dists(X, X[i], norms, row_norms, (i, np.zeros_like(i)))[:, 0]
+    _sq_norms(X): _pairwise_sq_dists(X, X[[i]]) in one block, with row i's
+    norm reused and its own entry exactly 0."""
+    x2, x2_max = norms
+    out = X @ X[i]
+    out *= -2.0
+    out += x2
+    out += x2[i]
+    near = out <= _slack(x2_max, x2[i], X.shape[1])
+    near[i] = False
+    rows = np.flatnonzero(near)
+    if rows.size:
+        out[rows] = _exact_sq_dists(X, X, rows, np.full_like(rows, i))
+    out[i] = 0.0
+    return out
 
 
 def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,9 +202,18 @@ def _kmeanspp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     for j in range(1, k):
         total = d2.sum()
         # a zero total means every row coincides with a row already drawn
-        chosen[j] = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        chosen[j] = _choice(rng, d2 / total) if total > 0 else rng.integers(n)
         np.minimum(d2, _sq_dists_to_row(X, norms, chosen[j]), out=d2)
     return chosen
+
+
+def _choice(rng: np.random.Generator, p: np.ndarray) -> int:
+    """rng.choice(len(p), p=p) without its checks on p: numpy's own inverse-cdf
+    search of one uniform draw, so the index and the generator state after
+    it are the same, at about half the cost."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _knn_candidates(d2, slack, k):

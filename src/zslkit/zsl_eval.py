@@ -21,11 +21,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .data_io import _atomic_write
 from .embedding import (
+    _exact_argmin,
     _exact_sq_dists,
     _kmeanspp_indices,
     _nearest,
     _pairwise_sq_dists,
-    _sq_dists_to_row,
+    _slack,
     _sq_norms,
 )
 from .errors import DataError
@@ -125,18 +126,30 @@ class KmeansResult:
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
-    k, d = centers.shape
-    points, columns = np.arange(X.shape[0]), np.arange(d)
-    norms = _sq_norms(X)
+    n, d = X.shape
+    k = centers.shape[0]
+    points, columns = np.arange(n), np.arange(d)
+    x2_max = _sq_norms(X)[1]
+    # scores[j, i] = ||c_j||^2 - 2 c_j.x_i, the squared distance less ||x_i||^2,
+    # as one product of the rows [-2 c_j, ||c_j||^2] and [x_i, 1]. A pass
+    # recomputes only the rows of centroids that moved.
+    x_ones = np.vstack([X.T, np.ones(n)])
+    c_aug = np.empty((k, d + 1))
+    scores = np.empty((k, n))
 
-    def assign(centers):
-        c_norms = _sq_norms(centers)
-        d2 = _pairwise_sq_dists(X, centers, norms, c_norms)
-        return d2, _nearest(X, centers, d2, norms, c_norms)
+    def move(rows):
+        c = centers[rows]
+        c_aug[rows, :d] = -2.0 * c
+        c_aug[rows, d] = _sq_norms(c)[0]
+        scores[rows] = c_aug[rows] @ x_ones
 
+    def assign():
+        return _exact_argmin(X, centers, scores, _slack(x2_max, c_aug[:, d].max(), d))
+
+    move(np.arange(k))
     assignments = None
     for _ in range(max_iter):
-        d2, new_assign = assign(centers)
+        new_assign = assign()
         # empty-cluster repair, in cluster order: move the centroid to the
         # point farthest from the centroid it is currently assigned to
         c = 0
@@ -147,8 +160,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
             c += int(empty[0])
             worst = int(np.argmax(_exact_sq_dists(X, centers, points, new_assign)))
             centers[c] = X[worst]
-            d2[:, c] = _sq_dists_to_row(X, norms, worst)
-            new_assign = _nearest(X, centers, d2, norms)
+            move([c])
+            new_assign = assign()
             c += 1
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
@@ -158,11 +171,14 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
         sums = np.bincount(
             (assignments[:, None] * d + columns).ravel(), weights=X.ravel(), minlength=k * d
         )
-        centers = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
+        updated = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
+        moved = np.flatnonzero((updated != centers).any(axis=1))
+        centers = updated
+        move(moved)
     else:
         # out of iterations: the centroids moved after the last assignment.
         # A converged run breaks with the assignment of its final centroids.
-        assignments = assign(centers)[1]
+        assignments = assign()
     inertia = float(_exact_sq_dists(X, centers, points, assignments).sum())
     return KmeansResult(centroids=centers, assignments=assignments, inertia=inertia)
 
@@ -171,13 +187,20 @@ def kmeans(points, k: int, *, seed: int = 0, max_iter: int = 100, n_init: int = 
     """Lloyd's algorithm from k-means++ seeding.
 
     Runs n_init seeded restarts and keeps the lowest inertia (ties break
-    toward the earlier restart). Deterministic for a fixed seed.
+    toward the earlier restart). Deterministic for a fixed seed. Raises
+    DataError when the points hold fewer than k distinct rows.
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if X.shape[0] < k:
         raise ValueError(f"{X.shape[0]} points cannot form {k} clusters")
+    # distinct first coordinates bound the distinct rows from below, and
+    # are far cheaper to count
+    if np.unique(X[:, :1]).size < k:
+        distinct = np.unique(X, axis=0).shape[0]
+        if distinct < k:
+            raise DataError(f"{distinct} distinct points cannot form {k} clusters")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(1, n_init)):

@@ -5,6 +5,7 @@ import pytest
 
 from zslkit import embedding
 from zslkit.embedding import (
+    _choice,
     _kmeanspp_indices,
     _pairwise_sq_dists,
     class_landmarks,
@@ -128,6 +129,17 @@ class TestDistanceKernel:
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         assert np.count_nonzero(got == 0.0) >= picked.size + 3
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_distances_to_one_row_match_the_plain_kernel(self, d, offset):
+        # the one-row form k-means++ uses must keep the kernel's bytes
+        rng = np.random.default_rng(d)
+        X = grid_points(rng, 300, d, offset)
+        norms = embedding._sq_norms(X)
+        for i in (0, 7, 299):
+            want = _pairwise_sq_dists(X, X[[i]])[:, 0]
+            np.testing.assert_array_equal(embedding._sq_dists_to_row(X, norms, i), want)
+
 
 def kmeanspp_reference(X, k, rng):
     """Test-side k-means++ seeding by explicit differences."""
@@ -153,6 +165,27 @@ class TestKmeansppSeeding:
             want = kmeanspp_reference(X, k, rng_want)
             np.testing.assert_array_equal(got, want)
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["tie-rich", "zero-heavy", "one-nonzero"])
+    def test_draw_matches_rng_choice(self, kind):
+        # _choice relies on how numpy implements Generator.choice with p
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(1, 400))
+            if kind == "tie-rich":
+                w = rng.integers(1, 4, size=n).astype(float)
+            elif kind == "zero-heavy":
+                w = rng.random(n) * (rng.random(n) < 0.05)
+                w[rng.integers(n)] = 1.0
+            else:
+                w = np.zeros(n)
+                w[rng.integers(n)] = 0.5
+            p = w / w.sum()
+            seed = int(rng.integers(2**32))
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert _choice(got, p) == want.choice(n, p=p)
+                assert got.bit_generator.state == want.bit_generator.state
 
     def test_all_coincident_rows_draw_uniformly(self):
         X = np.full((7, 3), 2.5)

@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zslkit import zsl_eval
+from zslkit.embedding import _exact_argmin, _nearest, _pairwise_sq_dists
 from zslkit.errors import DataError
 from zslkit.zsl_eval import (
     SearchSpace,
@@ -19,6 +25,8 @@ from zslkit.zsl_eval import (
     save_report,
     transductive_predict,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def brute_force_nn(points, ids, embeddings, transform=lambda d: d):
@@ -287,6 +295,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)
 
+    def test_fewer_distinct_rows_than_k_is_data_error(self):
+        # twelve points, but only three distinct ones, cannot form four clusters
+        with pytest.raises(DataError, match="3 distinct points cannot form 4 clusters"):
+            kmeans(np.repeat(np.eye(3), 4, axis=0), 4)
+        # the first coordinate alone has too few values, the rows do not
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0]])
+        assert kmeans(pts, 4, seed=0).inertia == 0.0
+
     @pytest.mark.parametrize("max_iter", [0, 1, 100])
     def test_grid_assignment_matches_explicit_argmin(self, max_iter):
         # max_iter=0 keeps the k-means++ centres, which are grid points;
@@ -308,6 +324,75 @@ class TestKmeans:
                     members = explicit_argmin(pts, seeding)
                 means = [pts[members == c].mean(axis=0) for c in range(8)]
                 np.testing.assert_array_equal(result.centroids, means)
+
+
+def lloyd_cases():
+    """Inputs whose squared distances tie exactly or up to rounding."""
+    rng = np.random.default_rng(30)
+    grid = rng.integers(-2, 3, size=(60, 3)).astype(float)
+    repeated = rng.normal(size=(12, 4))[rng.integers(12, size=70)]
+    cloud = 1e4 + rng.normal(size=(40, 3))
+    offset_grid = 1e4 + grid_points(rng, 80, 0.0)
+    return [
+        pytest.param(grid, 1, id="grid-k1"),
+        pytest.param(grid, 9, id="grid"),
+        pytest.param(repeated, 12, id="repeated-rows-k-distinct"),
+        pytest.param(repeated, 7, id="repeated-rows"),
+        pytest.param(cloud, 40, id="offset-cloud-k-n"),
+        pytest.param(offset_grid, 8, id="offset-grid"),
+    ]
+
+
+class TestLloydAssignment:
+    """Lloyd keeps ||c||^2 - 2 c.x per centroid across passes and recomputes
+    only the rows of centroids that moved. Every assignment it makes must be
+    the one a fresh full pass over the current centroids makes."""
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 100])
+    @pytest.mark.parametrize("X, k", lloyd_cases())
+    def test_every_pass_equals_a_fresh_full_pass(self, monkeypatch, X, k, max_iter):
+        passes = []
+
+        def checked(points, centers, scores, slack):
+            got = _exact_argmin(points, centers, scores, slack)
+            fresh = _nearest(points, centers, _pairwise_sq_dists(points, centers))
+            np.testing.assert_array_equal(got, fresh)
+            np.testing.assert_array_equal(got, explicit_argmin(points, centers))
+            # no stale row: each entry is the current centroid's, within slack
+            diff = points[None, :, :] - centers[:, None, :]
+            want = np.einsum("ijk,ijk->ij", diff, diff) - np.einsum("ij,ij->i", points, points)
+            assert np.all(np.abs(scores - want) <= slack)
+            passes.append(got)
+            return got
+
+        monkeypatch.setattr(zsl_eval, "_exact_argmin", checked)
+        result = kmeans(X, k, seed=k, max_iter=max_iter, n_init=2)
+        assert len(passes) >= 2
+        np.testing.assert_array_equal(result.assignments, explicit_argmin(X, result.centroids))
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the paper-51-50 and slpp-dense shapes of the transductive k-means
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from zslkit.zsl_eval import kmeans\n"
+            "h = hashlib.sha256()\n"
+            "for n, k, seed in ((953, 101, 1), (1500, 10, 2)):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    X = rng.normal(size=(k, 20))[rng.integers(k, size=n)] + rng.normal(size=(n, 20))\n"
+            "    r = kmeans(X, k, seed=seed, n_init=5)\n"
+            "    h.update(r.centroids.tobytes() + r.assignments.tobytes() + repr(r.inertia).encode())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestOptimalAssignment:
@@ -390,6 +475,11 @@ class TestTransductive:
     def test_fewer_points_than_classes(self):
         with pytest.raises(ValueError):
             transductive_predict(np.zeros((1, 2)), SearchSpace([0, 1], np.zeros((2, 2))))
+
+    def test_fewer_distinct_points_than_classes_is_data_error(self):
+        space = SearchSpace(range(4), np.vstack([np.eye(3), np.ones(3)]))
+        with pytest.raises(DataError, match="3 distinct points cannot form 4 clusters"):
+            transductive_predict(np.repeat(np.eye(3), 4, axis=0), space)
 
     def test_cluster_assignment_is_bijective_partition(self):
         rng = np.random.default_rng(15)
