@@ -129,7 +129,7 @@ def cmd_encode(args) -> int:
     extra = {"method": method, "dataset": dataset.name}
     if method in FISHER_METHODS:
         extra["k"] = k
-    sidecar = data_io.save_semantic_space(space, out_dir, stem="space", extra=extra)
+    sidecar = data_io.save_semantic_space(space, out_dir, extra=extra)
     echo = {
         "command": "encode",
         "dataset": dataset.name,

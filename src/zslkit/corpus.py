@@ -61,10 +61,6 @@ class TermDocMatrix:
     class_ids: tuple[int, ...]
 
     @property
-    def n_terms(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def n_docs(self) -> int:
         return self.counts.shape[1]
 

@@ -292,8 +292,6 @@ class GzslPartition:
     train: np.ndarray  # indices, 80% of each seen class
     seen_test: np.ndarray  # indices, 20% of each seen class
     unseen_test: np.ndarray  # all examples of unseen classes
-    fraction: float
-    seed: int
 
 
 def gzsl_holdout(labels, split: ClassSplit, fraction: float = 0.2, seed: int = 0) -> GzslPartition:
@@ -328,8 +326,6 @@ def gzsl_holdout(labels, split: ClassSplit, fraction: float = 0.2, seed: int = 0
         train=np.sort(np.concatenate(train)),
         seen_test=np.sort(np.concatenate(seen_test)),
         unseen_test=np.sort(unseen_test),
-        fraction=float(fraction),
-        seed=seed,
     )
 
 
@@ -377,14 +373,14 @@ def subsample_bag(bag: VectorBag, n: int, seed: int = 0) -> VectorBag:
     return VectorBag(class_id=bag.class_id, vectors=bag.vectors[idx])
 
 
-def save_semantic_space(space: SemanticSpace, out_dir, stem: str = "space", extra=None):
-    """Write a SemanticSpace as {stem}.zmat plus a {stem}.json sidecar.
+def save_semantic_space(space: SemanticSpace, out_dir, extra=None):
+    """Write a SemanticSpace as space.zmat plus a space.json sidecar.
 
     Returns the sidecar path; load_semantic_space takes that path back.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix_name = f"{stem}.zmat"
+    matrix_name = "space.zmat"
     save_matrix(space.reps, out_dir / matrix_name)
     sidecar = {
         "class_ids": list(space.class_ids),
@@ -394,8 +390,8 @@ def save_semantic_space(space: SemanticSpace, out_dir, stem: str = "space", extr
     }
     if extra:
         sidecar.update(extra)
-    write_json(sidecar, out_dir / f"{stem}.json")
-    return out_dir / f"{stem}.json"
+    write_json(sidecar, out_dir / "space.json")
+    return out_dir / "space.json"
 
 
 def load_semantic_space(sidecar_path) -> SemanticSpace:

@@ -46,8 +46,6 @@ class AffinityGraph:
     """Symmetric non-negative within-class neighbourhood weights."""
 
     weights: np.ndarray  # (n, n), zero diagonal
-    n_neighbors: int
-    width: float
 
 
 @dataclass(frozen=True)
@@ -332,12 +330,12 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
         mates = mates[mates != i]
         if mates.size == 0:
             raise DataError(
-                f"class {labels[i]!r} has a single example; its graph row cannot "
+                f"class {labels[i]} has a single example; its graph row cannot "
                 "be populated"
             )
         W[i, mates] = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, i), mates) / scale)
         W[mates, i] = W[i, mates]
-    return AffinityGraph(weights=W, n_neighbors=n_neighbors, width=float(width))
+    return AffinityGraph(weights=W)
 
 
 def median_pairwise_distance(X) -> float:

@@ -87,9 +87,6 @@ class WordVectorTable:
     def __getitem__(self, term) -> np.ndarray:
         return self.vectors[term]
 
-    def get(self, term, default=None):
-        return self.vectors.get(term, default)
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -223,7 +220,7 @@ def fisher_encode(gmm: DiagGmm, bag: VectorBag, *, normalize: bool = False) -> n
         raise ValueError(
             f"bag dimension {bag.dim} does not match mixture dimension {gmm.dim}"
         )
-    gamma = np.atleast_2d(gmm_posteriors(gmm, bag.vectors))  # (n, K)
+    gamma = gmm_posteriors(gmm, bag.vectors)  # (n, K)
     # The sums over i expand into the posterior-weighted first and second
     # moments s1 = gamma^T v and s2 = gamma^T v^2, taken about the mixture
     # mean so that the expansion keeps its digits.
@@ -287,23 +284,17 @@ def encode_class_set(
         raise DataError(f"bags disagree on vector dimension: {sorted(dims)}")
 
     if method == "average":
-        reps = []
-        for bag in bags:
-            try:
-                reps.append(average_encode(bag))
-            except ValueError as e:
-                raise DataError(f"class {bag.class_id}: {e}") from e
-        return SemanticSpace(class_ids=tuple(ids), reps=np.vstack(reps), metric="euclidean")
-
-    if method == "fisher":
+        encode, metric = average_encode, "euclidean"
+    elif method == "fisher":
         pool = np.vstack([b.vectors for b in bags if b.size > 0])
         gmm = fit_diag_gmm(pool, k, max_iter=max_iter, seed=seed)
-        reps = []
-        for bag in bags:
-            try:
-                reps.append(fisher_encode(gmm, bag, normalize=normalize))
-            except ValueError as e:
-                raise DataError(f"class {bag.class_id}: {e}") from e
-        return SemanticSpace(class_ids=tuple(ids), reps=np.vstack(reps), metric="cosine")
-
-    raise ValueError(f"unknown encoding method {method!r}")
+        encode, metric = lambda bag: fisher_encode(gmm, bag, normalize=normalize), "cosine"
+    else:
+        raise ValueError(f"unknown encoding method {method!r}")
+    reps = []
+    for bag in bags:
+        try:
+            reps.append(encode(bag))
+        except ValueError as e:
+            raise DataError(f"class {bag.class_id}: {e}") from e
+    return SemanticSpace(class_ids=tuple(ids), reps=np.vstack(reps), metric=metric)

@@ -105,8 +105,6 @@ def _visual_stage(features, labels, split, cfg: EvalConfig):
             train=np.flatnonzero(np.isin(labels, list(split.seen))),
             seen_test=np.zeros(0, dtype=np.int64),
             unseen_test=np.flatnonzero(np.isin(labels, list(split.unseen))),
-            fraction=0.0,
-            seed=0,
         )
     return part, _clip_hyperparameters(cfg, part.train.size, features.shape[1])
 

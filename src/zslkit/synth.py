@@ -12,7 +12,7 @@ visual class structure and a correct pipeline recovers the classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +60,35 @@ class SynthSpec:
                 raise ConfigError(f"synth spec field {key} must be >= 0")
 
 
+# The JSON types each SynthSpec field type takes; a bool is never a number.
+_TYPES = {"str": str, "int": int, "float": (int, float)}
+
+
+def _checked(key: str, value, kind: str):
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        raise ConfigError(f"synth spec key {key!r} takes {kind}, got {value!r}")
+    return value
+
+
 def spec_from_json(payload: dict) -> SynthSpec:
-    """Build a spec from a JSON object; "noise" sets all three noise levels."""
+    """Build a spec from a JSON object; "noise" sets all three noise levels.
+    Each value must have its field's type, where an int is also a float."""
     payload = dict(payload)
     noise = payload.pop("noise", None)
     if noise is not None:
         if isinstance(noise, dict):
             for part in ("visual", "semantic", "bag"):
                 if part in noise:
-                    payload[f"noise_{part}"] = float(noise[part])
+                    payload[f"noise_{part}"] = float(_checked("noise", noise[part], "float"))
         else:
             for part in ("visual", "semantic", "bag"):
-                payload.setdefault(f"noise_{part}", float(noise))
-    try:
-        spec = SynthSpec(**payload)
-    except TypeError as e:
-        raise ConfigError(f"bad synth spec: {e}") from e
+                payload.setdefault(f"noise_{part}", float(_checked("noise", noise, "float")))
+    kinds = {f.name: f.type for f in fields(SynthSpec)}
+    for key, value in payload.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown synth spec key {key!r}")
+        _checked(key, value, kinds[key])
+    spec = SynthSpec(**payload)
     spec.validate()
     return spec
 
@@ -137,7 +150,7 @@ def make_synthetic(spec: SynthSpec, seed: int, out_dir) -> Path:
         classes.append({"id": c, "name": f"class_{c:03d}", "image_bag": bag_rel})
 
     space = SemanticSpace(class_ids=tuple(range(C)), reps=reps, metric="euclidean")
-    data_io.save_semantic_space(space, out_dir, stem="space", extra={"method": "planted"})
+    data_io.save_semantic_space(space, out_dir, extra={"method": "planted"})
 
     splits = data_io.generate_class_splits(C, spec.n_seen, spec.n_splits, seed)
     data_io.save_splits(splits, out_dir / "splits.json", dataset=spec.name)

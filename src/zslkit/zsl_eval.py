@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,8 @@ from .embedding import (
 from .errors import DataError
 
 METRIC_KEYS = ("A_UU", "A_UT", "A_ST", "H")
+# k-means restarts of the transductive clustering.
+_TRANSDUCTIVE_N_INIT = 5
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,7 @@ def optimal_assignment(cost) -> np.ndarray:
     return perm
 
 
-def transductive_predict(
-    points, space: SearchSpace, *, seed: int = 0, n_init: int = 5
-) -> np.ndarray:
+def transductive_predict(points, space: SearchSpace, *, seed: int = 0) -> np.ndarray:
     """Structured prediction over the whole test collection.
 
     The points form one k-means cluster per candidate class; clusters are
@@ -240,7 +240,7 @@ def transductive_predict(
     k = len(space.class_ids)
     if X.shape[0] < k:
         raise ValueError(f"{X.shape[0]} test points cannot cover {k} classes")
-    clusters = kmeans(X, k, seed=seed, n_init=n_init)
+    clusters = kmeans(X, k, seed=seed, n_init=_TRANSDUCTIVE_N_INIT)
     perm = optimal_assignment(_pairwise_sq_dists(clusters.centroids, space.embeddings))
     return np.asarray(space.class_ids)[perm][clusters.assignments]
 
@@ -265,20 +265,16 @@ def aggregate_metrics(split_metrics) -> tuple[dict, dict]:
     The harmonic mean is averaged per split, not recomputed from the
     averaged accuracies; the two disagree in general.
     """
-    keys = [k for k in METRIC_KEYS if any(k_present(m, k) for m in split_metrics)]
+    keys = [k for k in METRIC_KEYS if any(k in m for m in split_metrics)]
     mean, stderr = {}, {}
     for key in keys:
-        values = np.array([m[key] for m in split_metrics if k_present(m, key)])
+        values = np.array([m[key] for m in split_metrics if key in m])
         mean[key] = float(values.mean())
         if values.size > 1:
             stderr[key] = float(values.std(ddof=1) / np.sqrt(values.size))
         else:
             stderr[key] = 0.0
     return mean, stderr
-
-
-def k_present(metrics: dict, key: str) -> bool:
-    return key in metrics and metrics[key] is not None
 
 
 def build_report(dataset, method, setting, split_metrics, config=None, seeds=None) -> EvalReport:
@@ -296,17 +292,7 @@ def build_report(dataset, method, setting, split_metrics, config=None, seeds=Non
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "dataset": report.dataset,
-        "method": report.method,
-        "setting": report.setting,
-        "splits": report.splits,
-        "mean": report.mean,
-        "stderr": report.stderr,
-        "config": report.config,
-        "seeds": report.seeds,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def save_report(report: EvalReport, path) -> None:
@@ -314,17 +300,14 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
+    """Read a report JSON file; DataError names the file and what it lacks."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return EvalReport(
-        dataset=payload["dataset"],
-        method=payload["method"],
-        setting=payload["setting"],
-        splits=payload["splits"],
-        mean=payload["mean"],
-        stderr=payload["stderr"],
-        config=payload.get("config", {}),
-        seeds=payload.get("seeds", {}),
-    )
+    if not isinstance(payload, dict):
+        raise DataError(f"report {path} is not a JSON object")
+    for key in ("dataset", "method", "setting", "splits", "mean", "stderr"):
+        if key not in payload:
+            raise DataError(f"report {path} lacks key {key!r}")
+    return EvalReport(**{f.name: payload[f.name] for f in fields(EvalReport) if f.name in payload})
 
 
 def reports_to_csv(reports) -> str:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zslkit import cli
 from zslkit.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,6 +25,16 @@ def run_cli(*argv, env_extra=None, cwd=None):
         env=env,
         cwd=cwd or REPO,
     )
+
+
+def main_error(capsys, *argv):
+    """Run cli.main in process: (exit code, its one JSON error line)."""
+    code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return code, json.loads(lines[0])
 
 
 def read_tree(root):
@@ -113,6 +124,31 @@ class TestSynthCommand:
         result = run_cli("synth", "--spec", spec_path, "--seed", 5, "--out", tmp_path / "again")
         assert result.returncode == 0
         assert read_tree(tmp_path / "again") == read_tree(synth_dir)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"n_classes": "12"}, "'n_classes'"),
+            ({"n_classes": 12.5}, "'n_classes'"),
+            ({"n_seen": True}, "'n_seen'"),
+            ({"noise_bag": "0.1"}, "'noise_bag'"),
+            ({"noise_visual": False}, "'noise_visual'"),
+            ({"name": 5}, "'name'"),
+            ({"noise": "abc"}, "'noise'"),
+            ({"noise": [0.1]}, "'noise'"),
+            ({"noise": {"visual": "abc"}}, "'noise'"),
+        ],
+        ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string",
+             "float-as-bool", "name-as-int", "noise-string", "noise-list", "noise-part-string"],
+    )
+    def test_wrongly_typed_spec_is_config_error(self, tmp_path, capsys, spec, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, err = main_error(capsys, "synth", "--spec", spec_path, "--out", tmp_path / "out")
+        assert code == 2
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestEncodeCommand:
@@ -350,6 +386,26 @@ class TestReportCommand:
     def test_no_inputs_is_config_error(self):
         result = run_cli("report")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"method": "m", "setting": "inductive", "splits": [], "mean": {}, "stderr": {}},
+             "'dataset'"),
+            ({"dataset": "d", "method": "m", "setting": "inductive", "splits": [], "mean": {}},
+             "'stderr'"),
+            ([{"dataset": "d"}], "not a JSON object"),
+        ],
+        ids=["no-dataset", "no-stderr", "list"],
+    )
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, payload, named):
+        path = tmp_path / "bad_report.json"
+        path.write_text(json.dumps(payload))
+        code, err = main_error(capsys, "report", "--inputs", path)
+        assert code == 3
+        assert err["error"] == "DataError"
+        assert str(path) in err["message"]
+        assert named in err["message"]
 
 
 class TestConfigFile:

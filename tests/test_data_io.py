@@ -301,7 +301,7 @@ class TestSubsampleBag:
 class TestSemanticSpaceFiles:
     def test_round_trip(self, tmp_path):
         space = SemanticSpace((0, 1, 2), np.random.default_rng(2).normal(size=(3, 4)), "cosine")
-        sidecar = save_semantic_space(space, tmp_path, stem="sp", extra={"method": "ffv"})
+        sidecar = save_semantic_space(space, tmp_path, extra={"method": "ffv"})
         loaded = load_semantic_space(sidecar)
         assert loaded.class_ids == space.class_ids
         assert loaded.metric == "cosine"

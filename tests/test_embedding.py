@@ -204,7 +204,7 @@ class TestKnnAffinity:
 
     def test_two_points_different_labels_error(self):
         # singleton classes can never satisfy the positive-row invariant
-        with pytest.raises(DataError, match="single example"):
+        with pytest.raises(DataError, match="class 0 has a single example"):
             knn_affinity(np.array([[0.0], [1.0]]), [0, 1], n_neighbors=1, width=1.0)
 
     def test_blobs_within_class_edges_only(self):

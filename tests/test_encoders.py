@@ -262,8 +262,9 @@ class TestEncodeClassSet:
 
     def test_error_names_offending_class(self):
         bags = [VectorBag(0, [[1.0]]), VectorBag(5, np.zeros((0, 1)))]
-        with pytest.raises(DataError, match="class 5"):
-            encode_class_set(bags, "average")
+        for method in ("average", "fisher"):
+            with pytest.raises(DataError, match="class 5"):
+                encode_class_set(bags, method)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

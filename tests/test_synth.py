@@ -31,6 +31,10 @@ class TestSpec:
         with pytest.raises(ConfigError):
             synth.spec_from_json({"d_visual": 2, "d_latent_true": 5, "d_semantic": 8})
 
+    def test_int_serves_as_float(self):
+        spec = synth.spec_from_json({"noise_visual": 1, "noise": 0})
+        assert (spec.noise_visual, spec.noise_semantic, spec.noise_bag) == (1, 0.0, 0.0)
+
     def test_rejects_unknown_field(self):
         with pytest.raises(ConfigError):
             synth.spec_from_json({"what": 1})

@@ -457,7 +457,7 @@ class TestTransductive:
         emb = np.array([[0.0], [7.0]])
         space = SearchSpace([0, 1], emb)
         inductive = classify_nn(pts, space)
-        trans = transductive_predict(pts, space, seed=0, n_init=5)
+        trans = transductive_predict(pts, space, seed=0)
         assert inductive[30] == 1  # |4.2-7| < |4.2-0|
         assert trans[30] == 0  # clustered with A, cluster mapped to class 0
         assert not np.array_equal(inductive, trans)
