@@ -13,6 +13,7 @@ between classes are preserved by latent Euclidean distances.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -67,9 +68,10 @@ class StressTrace:
 
 
 def _sq_norms(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared row norms of X and their maximum (0 when X has no rows)."""
-    x2 = np.einsum("ij,ij->i", X, X)
-    return x2, x2.max(initial=0.0)
+    """Squared row norms of X and their maximum (0 when X has no rows); for a
+    stack X of shape (B, n, d), norms (B, n) and one maximum per item."""
+    x2 = np.einsum("...j,...j->...", X, X)
+    return x2, x2.max(axis=-1, initial=0.0)
 
 
 def _slack(x2_max: float, y2_max: float, d: int) -> float:
@@ -93,35 +95,53 @@ def _pairwise_sq_dists(
     Callers that reuse an operand pass its _sq_norms as x_norms or y_norms.
     zero = (rows, cols) names pairs known to coincide (X[rows] == Y[cols]):
     they are set to 0 without being recomputed.
+
+    Stacks X (B, n, d) and Y (B, m, d), with stacked norms, give (B, n, m):
+    item b is X[b] against Y[b] with its own slack and the same zero pairs,
+    bit for bit the 2-D call on that item. Each block spans the rows a 2-D
+    call's block spans, of as many whole items as fit, and matmul runs one
+    gemm per item; every other step is elementwise or per row.
     """
     x2, x2_max = _sq_norms(X) if x_norms is None else x_norms
     y2, y2_max = _sq_norms(Y) if y_norms is None else y_norms
-    slack = _slack(x2_max, y2_max, X.shape[1])
-    out = np.empty((X.shape[0], Y.shape[0]))
-    step = max(1, _BLOCK_BYTES // (9 * max(1, Y.shape[0])))
-    for start in range(0, X.shape[0], step):
-        rows = slice(start, start + step)
-        block = out[rows]
-        np.matmul(X[rows], Y.T, out=block)
-        block *= -2.0
-        block += x2[rows, None]
-        block += y2
-        near = block <= slack  # includes every negative entry
-        if zero is not None:
-            zr, zc = zero
-            if block.shape[0] < out.shape[0]:  # this block's pairs only
-                mine = (zr >= start) & (zr < start + step)
-                zr, zc = zr[mine] - start, zc[mine]
-            near[zr, zc] = False
-        # a flat nonzero is far cheaper than a 2-D one, and divmod gives the
-        # same pairs in the same order
-        flat = near.ravel().nonzero()[0]
-        if flat.size:
-            i, j = np.divmod(flat, block.shape[1])
-            block[i, j] = _exact_sq_dists(X, Y, i + start, j)
+    stacked = X.ndim == 3
+    if not stacked:
+        X, Y, x2, y2 = X[None], Y[None], x2[None], y2[None]
+    (B, n, d), m = X.shape, Y.shape[1]
+    slack = np.asarray(_slack(x2_max, y2_max, d)).reshape(-1, 1, 1)
+    out = np.empty((B, n, m))
+    Yt, y2 = Y.transpose(0, 2, 1), y2[:, None]
+    step = max(1, _BLOCK_BYTES // (9 * max(1, m)))  # rows per block of one item
+    chunk = max(1, step // max(1, n))  # items per block
+    for first in range(0, B, chunk):
+        items = slice(first, first + chunk)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = out[items, rows]
+            np.matmul(X[items, rows], Yt[items], out=block)
+            block *= -2.0
+            block += x2[items, rows, None]
+            block += y2[items]
+            near = block <= slack[items]  # includes every negative entry
+            if zero is not None:
+                zr, zc = zero
+                if block.shape[1] < n:  # this block's pairs only
+                    mine = (zr >= start) & (zr < start + step)
+                    zr, zc = zr[mine] - start, zc[mine]
+                near[:, zr, zc] = False
+            # a flat nonzero is far cheaper than an n-D one, and divmod gives
+            # the same pairs in the same order
+            flat = near.ravel().nonzero()[0]
+            if flat.size:
+                b, ij = np.divmod(flat, block.shape[1] * m)
+                i, j = np.divmod(ij, m)
+                block[b, i, j] = _exact_sq_dists(
+                    X.reshape(-1, d), Y.reshape(-1, d),
+                    (b + first) * n + i + start, (b + first) * m + j,
+                )
     if zero is not None:
-        out[zero] = 0.0
-    return out
+        out[:, zero[0], zero[1]] = 0.0
+    return out if stacked else out[0]
 
 
 def _exact_sq_dists(X: np.ndarray, Y: np.ndarray, rows, cols) -> np.ndarray:
@@ -490,70 +510,26 @@ def semantic_distance_matrix(space: SemanticSpace) -> np.ndarray:
     return D
 
 
-def _descend(Y0, evaluate, gradient, max_iter, tol):
-    """Gradient descent with step halving; steps that would increase the
-    stress are rejected. evaluate(Y) returns (stress, distances) and the
-    distances of each accepted iterate feed gradient(Y, distances).
-    Returns (Y, accepted stress values)."""
-    Y = Y0.copy()
-    stress, dists = evaluate(Y)
-    trace = [stress]
-    step = _FIRST_STEP
-    for _ in range(max_iter):
-        grad = gradient(Y, dists)
-        while step >= _MIN_STEP:
-            Y_new = Y - step * grad
-            s_new, d_new = evaluate(Y_new)
-            if s_new <= stress:
-                break
-            step *= 0.5
-        else:
-            break
-        Y, dists = Y_new, d_new
-        change = stress - s_new
-        stress = s_new
-        trace.append(stress)
-        step = min(step * 2.0, 1e12)
-        if stress == 0.0 or change <= tol * max(stress, 1e-300):
-            break
-    return Y, np.asarray(trace)
 
 
-def lsm_embed(
-    landmarks,
-    seen_ids,
-    dist_semantic,
-    class_order,
-    unseen_ids,
-    *,
-    max_iter: int = 2000,
-    tol: float = 1e-9,
-    restarts: int = 5,
-    seed: int = 0,
-    init=None,
-) -> tuple[np.ndarray, StressTrace]:
-    """Place unseen classes in the latent space by landmark Sammon mapping.
+@dataclass(frozen=True)
+class _Placement:
+    """One lsm_embed problem made ready to descend: the fixed landmarks, the
+    scaled semantic targets and the starts of its restarts."""
 
-    Minimizes the Sammon stress
+    landmarks: np.ndarray  # (n_seen, d_latent)
+    delta_us: np.ndarray  # (n_unseen, n_seen)
+    delta_uu: np.ndarray  # (n_unseen, n_unseen), zero diagonal
+    sum_delta: float
+    starts: np.ndarray  # (restarts, n_unseen, d_latent)
 
-        E = (1/sum delta) * sum_pairs (delta_pq - d_pq)^2 / delta_pq
 
-    over all seen-unseen and unseen-unseen class pairs, where d is latent
-    Euclidean distance and delta is the semantic distance rescaled so the
-    semantic and latent scales are commensurate (times mean pairwise
-    landmark distance over mean seen-seen semantic distance). Landmarks
-    never move.
-
-    Each restart initializes an unseen class at the inverse-distance
-    weighted average of the landmarks plus seeded jitter of width 1e-3 and
-    descends with step halving. A later restart replaces the best one only
-    when its final stress is lower by more than _STRESS_TIE, so ties go to
-    the earliest restart. Passing `init` (an (n_unseen, d_latent) array)
-    replaces the seeded initialization and runs a single descent.
-
-    Returns (unseen_embeddings, StressTrace) with rows ordered by ascending
-    unseen class id.
-    """
+def _placement(
+    landmarks, seen_ids, dist_semantic, class_order, unseen_ids, *,
+    restarts: int = 5, seed: int = 0, init=None,
+) -> _Placement | None:
+    """lsm_embed's checks, target scaling and starts for one problem; None
+    when there is no unseen class to place."""
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=np.float64))
     dist_semantic = np.asarray(dist_semantic, dtype=np.float64)
     class_pos = {int(c): i for i, c in enumerate(class_order)}
@@ -566,13 +542,12 @@ def lsm_embed(
     missing = [c for c in seen_ids + unseen_ids if c not in class_pos]
     if missing:
         raise ValueError(f"classes {missing} missing from the semantic distance matrix")
+    if init is None and restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
 
-    n_s, n_u, d_latent = len(seen_ids), len(unseen_ids), landmarks.shape[1]
+    n_u, d_latent = len(unseen_ids), landmarks.shape[1]
     if n_u == 0:
-        return (
-            np.zeros((0, d_latent)),
-            StressTrace(stresses=np.zeros(0), final_stress=0.0, restart_index=0),
-        )
+        return None
 
     s_idx = np.array([class_pos[c] for c in seen_ids])
     u_idx = np.array([class_pos[c] for c in unseen_ids])
@@ -604,60 +579,263 @@ def lsm_embed(
             f"zero semantic distance between distinct classes; clamped to {clamp:g}"
         )
         delta_us = np.maximum(delta_us, clamp)
-        delta_uu = np.where(off_uu, np.maximum(delta_uu, clamp), delta_uu)
+        delta_uu = np.maximum(delta_uu, clamp)
+    np.fill_diagonal(delta_uu, 0.0)
 
-    iu = np.triu_indices(n_u, k=1)
-    delta_upper = delta_uu[iu]
+    delta_upper = delta_uu[np.triu_indices(n_u, k=1)]
     sum_delta = delta_us.sum() + (delta_upper.sum() if n_u > 1 else 0.0)
-    eps = 1e-12
-    delta_uu_floor = np.maximum(delta_uu, eps)
-
-    # every stress evaluation measures Y against [landmarks; Y]: that array
-    # and its squared norms are kept in buffers whose landmark rows are
-    # filled once, and Y's distances to itself are exactly 0 on the diagonal
-    points = np.empty((n_s + n_u, d_latent))
-    points[:n_s] = landmarks
-    points2 = np.empty(n_s + n_u)
-    points2[:n_s], lm2_max = _sq_norms(landmarks)
-    own = np.arange(n_u)
-    diagonal = (own, own + n_s)
-
-    def evaluate(Y):
-        points[n_s:] = Y
-        y_norms = _sq_norms(Y)
-        points2[n_s:] = y_norms[0]
-        p_norms = (points2, max(lm2_max, y_norms[1]))
-        dist = np.sqrt(_pairwise_sq_dists(Y, points, y_norms, p_norms, diagonal))
-        d_us, d_uu = dist[:, :n_s], dist[:, n_s:]
-        stress = ((delta_us - d_us) ** 2 / delta_us).sum()
-        if n_u > 1:
-            stress += ((delta_upper - d_uu[iu]) ** 2 / delta_upper).sum()
-        return stress / sum_delta, (d_us, d_uu)
-
-    def gradient(Y, dists):
-        d_us, d_uu = dists
-        coef = (delta_us - d_us) / (delta_us * np.maximum(d_us, eps))  # (u, s)
-        coef_uu = (delta_uu - d_uu) / (delta_uu_floor * np.maximum(d_uu, eps))
-        coef_uu[own, own] = 0.0
-        weight = coef.sum(axis=1) + coef_uu.sum(axis=1)
-        grad = weight[:, None] * Y - coef @ landmarks - coef_uu @ Y
-        return -2.0 * grad / sum_delta
 
     if init is not None:
-        starts = [np.asarray(init, dtype=np.float64).reshape(n_u, d_latent)]
+        starts = np.asarray(init, dtype=np.float64).reshape(1, n_u, d_latent)
     else:
         inv = 1.0 / delta_us
         base = (inv / inv.sum(axis=1, keepdims=True)) @ landmarks
         seeds = np.random.SeedSequence(seed).spawn(restarts)
-        starts = [
+        starts = np.stack([
             base + np.random.default_rng(s).normal(0.0, 1e-3, size=(n_u, d_latent))
             for s in seeds
-        ]
+        ])
+    return _Placement(landmarks, delta_us, delta_uu, sum_delta, starts)
 
-    best = None
-    for r, Y0 in enumerate(starts):
-        Y, trace = _descend(Y0, evaluate, gradient, max_iter, tol)
-        if best is None or trace[-1] < best[2][-1] - _STRESS_TIE:
-            best = (r, Y, trace)
-    r, Y, trace = best
-    return Y, StressTrace(stresses=trace, final_stress=float(trace[-1]), restart_index=r)
+
+def _descend_many(group: list[_Placement], max_iter: int, tol: float):
+    """Gradient descent with step halving on the Sammon stress, from every
+    start of the placements in group, which share one shape, as one stack.
+
+    A start's trial step that would increase its stress is rejected and its
+    step halved; one that does not is accepted, its step doubled (up to
+    1e12) and its gradient recomputed. A start stops when its step falls
+    below _MIN_STEP, after max_iter accepted steps, at stress 0, or when an
+    accepted step lowers its stress by at most tol times the new stress.
+
+    Each round evaluates, for every start still searching, its next two
+    trials: its step and the halved retry it makes should that step be
+    rejected. So a rejected step and its accepted retry, the common case
+    once the step has grown to the right size, take one round rather than
+    two; a retry that is not reached is discarded. The stack computes each
+    trial alone (one gemm per item, per-row sums of C-ordered arrays), and
+    each start keeps its own step, stress trace, accept rule and stop rule
+    as Python floats, so every start follows, bit for bit, the trajectory
+    it would follow by itself. Starts that stop leave the stack.
+
+    Returns (Y, traces): each start's final iterate, stacked, and its
+    stress after the start and each accepted step, in the order of the
+    placements and their starts.
+    """
+    first = group[0]
+    (n_u, n_s), d = first.delta_us.shape, first.landmarks.shape[1]
+    m = n_s + n_u
+    owner = np.repeat(np.arange(len(group)), [p.starts.shape[0] for p in group])
+    B = owner.size
+
+    def per_start(values):
+        # one placement's targets broadcast over its starts
+        stacked = np.stack(values)
+        return stacked if len(group) == 1 else stacked[owner]
+
+    def per_trial(a):
+        # a start's two trials share its targets
+        return a if len(a) == 1 else np.repeat(a, 2, axis=0)
+
+    # the stress sums (delta - d)^2 / delta over the seen-unseen pairs and
+    # then over the upper triangle of the unseen-unseen pairs, each in
+    # row-major order: pairs indexes them in a flattened row of Y's
+    # distances to [landmarks; Y], and take returns them C-ordered
+    iu = np.triu_indices(n_u, k=1)
+    us = np.arange(n_u * n_s)
+    pairs = np.concatenate([us // n_s * m + us % n_s, iu[0] * m + n_s + iu[1]])
+    landmarks = per_start([p.landmarks for p in group])
+    delta_us = per_start([p.delta_us for p in group])
+    delta_uu = per_start([p.delta_uu for p in group])
+    row_targets = np.concatenate([delta_us, delta_uu], axis=2)  # (., u, m)
+    sum_delta = per_start([p.sum_delta for p in group])
+    stress_targets = (
+        per_trial(row_targets.reshape(len(row_targets), -1).take(pairs, axis=1)),
+        per_trial(sum_delta),
+    )
+    # the gradient's coefficients (delta - d) / (delta * max(d, 1e-12)) over
+    # a whole row, with delta floored at 1e-12 among the unseen classes;
+    # delta_uu's zero diagonal makes each class's own coefficient 0
+    floors = np.concatenate([delta_us, np.maximum(delta_uu, 1e-12)], axis=2)
+    grad_targets = (landmarks, row_targets, floors, sum_delta[:, None, None])
+    own = np.arange(n_u)
+    diagonal = (own, own + n_s)
+
+    # each trial measures its iterate Y against [landmarks; Y]: that array
+    # and its squared norms are kept in buffers whose landmark rows are
+    # filled once
+    points = np.empty((2 * B, m, d))
+    points[:, :n_s] = per_trial(landmarks)
+    norms = np.empty((2 * B, m))
+    norms[:, :n_s], lm_max = _sq_norms(points[:, :n_s])
+
+    def stress(Y, points, norms, lm_max, targets, sum_delta):
+        points[:, n_s:] = Y
+        y_norms = _sq_norms(Y)
+        norms[:, n_s:] = y_norms[0]
+        p_norms = (norms, np.maximum(lm_max, y_norms[1]))
+        dist = _pairwise_sq_dists(Y, points, y_norms, p_norms, diagonal)
+        np.sqrt(dist, out=dist)
+        term = targets - dist.reshape(len(Y), -1).take(pairs, axis=1)
+        term **= 2
+        term /= targets
+        out = np.add.reduce(term[:, : n_u * n_s], axis=1)
+        if n_u > 1:
+            out += np.add.reduce(term[:, n_u * n_s :], axis=1)
+        out /= sum_delta
+        return out, dist
+
+    def gradient(Y, dist, landmarks, targets, floors, sum_delta):
+        scale = np.maximum(dist, 1e-12)
+        scale *= floors
+        coef = targets - dist  # (B, u, m)
+        coef /= scale
+        coef_us, coef_uu = coef[:, :, :n_s], coef[:, :, n_s:]
+        weight = np.add.reduce(coef_us, axis=2) + np.add.reduce(coef_uu, axis=2)
+        grad = weight[:, :, None] * Y
+        grad -= coef_us @ landmarks
+        grad -= coef_uu @ Y
+        grad *= -2.0
+        grad /= sum_delta
+        return grad
+
+    Y = np.concatenate([p.starts for p in group])
+    # the starts fill both trial slots of the first evaluation
+    s, dist = stress(np.repeat(Y, 2, axis=0), points, norms, lm_max, *stress_targets)
+    dist = dist[::2].copy()
+    traces = [array("d", [v]) for v in s[::2].tolist()]
+    final = Y.copy()
+    # the starts still searching: their ids, stresses and steps
+    ids = list(range(B)) if max_iter > 0 else []
+    s = [trace[0] for trace in traces]
+    step = [_FIRST_STEP] * B
+    if ids:
+        grad = gradient(Y, dist, *grad_targets)
+    halves = np.array([1.0, 0.5])
+    while ids:
+        steps = np.array(step)[:, None] * halves
+        trials = (Y[:, None] - steps[:, :, None, None] * grad[:, None]).reshape(-1, n_u, d)
+        s_try, d_try = stress(trials, points, norms, lm_max, *stress_targets)
+        s_try = s_try.tolist()
+        took, picks, stopped = [], [], []
+        for r, b in enumerate(ids):
+            if s_try[2 * r] <= s[r]:
+                pick, new_step = 2 * r, min(step[r] * 2.0, 1e12)
+            elif step[r] * 0.5 >= _MIN_STEP and s_try[2 * r + 1] <= s[r]:
+                pick, new_step = 2 * r + 1, step[r]  # min(step / 2 * 2, 1e12)
+            else:  # both rejected: the next trial is at a quarter of the step
+                step[r] *= 0.25
+                if step[r] < _MIN_STEP:
+                    stopped.append(r)
+                continue
+            change = s[r] - s_try[pick]
+            s[r], step[r] = s_try[pick], new_step
+            traces[b].append(s[r])
+            took.append(r)
+            picks.append(pick)
+            if s[r] == 0.0 or change <= tol * max(s[r], 1e-300) or len(traces[b]) > max_iter:
+                stopped.append(r)
+        if len(took) == len(ids):
+            Y, dist = trials[picks], d_try[picks]
+        elif took:
+            Y[took], dist[took] = trials[picks], d_try[picks]
+        if stopped:
+            final[[ids[r] for r in stopped]] = Y[stopped]
+            gone = set(stopped)
+            took = [r for r in took if r not in gone]
+        if len(took) == len(ids):
+            grad = gradient(Y, dist, *grad_targets)
+        elif took:
+            picked = grad_targets if len(group) == 1 else tuple(t[took] for t in grad_targets)
+            grad[took] = gradient(Y[took], dist[took], *picked)
+        if stopped:
+            keep = [r for r in range(len(ids)) if r not in gone]
+            ids, s, step = ([a[r] for r in keep] for a in (ids, s, step))
+            Y, dist, grad = Y[keep], dist[keep], grad[keep]
+            twice = [2 * r + k for r in keep for k in (0, 1)]
+            points, norms, lm_max = points[twice], norms[twice], lm_max[twice]
+            if len(group) > 1:
+                stress_targets = tuple(t[twice] for t in stress_targets)
+                grad_targets = tuple(t[keep] for t in grad_targets)
+    return final, [np.asarray(trace) for trace in traces]
+
+
+def lsm_embed_many(problems, *, max_iter: int = 2000, tol: float = 1e-9) -> list:
+    """lsm_embed of every problem, each a mapping of lsm_embed's arguments
+    other than max_iter and tol; returns one (Y, StressTrace) per problem,
+    in order, each equal bit for bit to that problem's own lsm_embed.
+
+    The placements are grouped by shape (seen classes, unseen classes,
+    d_latent), and every restart of every placement of a group descends in
+    one stack, so the per-call cost of each array operation is paid once
+    per group rather than once per restart.
+    """
+    placements = [_placement(**problem) for problem in problems]
+    results = [None] * len(placements)
+    groups = {}
+    for k, pl in enumerate(placements):
+        if pl is None:
+            d_latent = np.atleast_2d(np.asarray(problems[k]["landmarks"])).shape[1]
+            empty = StressTrace(stresses=np.zeros(0), final_stress=0.0, restart_index=0)
+            results[k] = (np.zeros((0, d_latent)), empty)
+        else:
+            groups.setdefault(pl.starts.shape[1:] + pl.landmarks.shape[:1], []).append(k)
+    for keys in groups.values():
+        Y, traces = _descend_many([placements[k] for k in keys], max_iter, tol)
+        first = 0
+        for k in keys:
+            best = 0
+            for r in range(1, placements[k].starts.shape[0]):
+                if traces[first + r][-1] < traces[first + best][-1] - _STRESS_TIE:
+                    best = r
+            trace = traces[first + best]
+            results[k] = (
+                Y[first + best].copy(),
+                StressTrace(stresses=trace, final_stress=float(trace[-1]), restart_index=best),
+            )
+            first += placements[k].starts.shape[0]
+    return results
+
+
+def lsm_embed(
+    landmarks,
+    seen_ids,
+    dist_semantic,
+    class_order,
+    unseen_ids,
+    *,
+    max_iter: int = 2000,
+    tol: float = 1e-9,
+    restarts: int = 5,
+    seed: int = 0,
+    init=None,
+) -> tuple[np.ndarray, StressTrace]:
+    """Place unseen classes in the latent space by landmark Sammon mapping.
+
+    Minimizes the Sammon stress
+
+        E = (1/sum delta) * sum_pairs (delta_pq - d_pq)^2 / delta_pq
+
+    over all seen-unseen and unseen-unseen class pairs, where d is latent
+    Euclidean distance and delta is the semantic distance rescaled so the
+    semantic and latent scales are commensurate (times mean pairwise
+    landmark distance over mean seen-seen semantic distance). Landmarks
+    never move.
+
+    Each restart initializes an unseen class at the inverse-distance
+    weighted average of the landmarks plus seeded jitter of width 1e-3 and
+    descends with step halving (_descend_many); the restarts descend as one
+    stack. A later restart replaces the best one only when its final stress
+    is lower by more than _STRESS_TIE, so ties go to the earliest restart.
+    Passing `init` (an (n_unseen, d_latent) array) replaces the seeded
+    initialization and runs a single descent.
+
+    Returns (unseen_embeddings, StressTrace) with rows ordered by ascending
+    unseen class id.
+    """
+    problem = dict(
+        landmarks=landmarks, seen_ids=seen_ids, dist_semantic=dist_semantic,
+        class_order=class_order, unseen_ids=unseen_ids, restarts=restarts, seed=seed,
+        init=init,
+    )
+    return lsm_embed_many([problem], max_iter=max_iter, tol=tol)[0]

@@ -116,27 +116,37 @@ def _slpp(features, labels, part, cfg: EvalConfig) -> embedding.LatentModel:
     )
 
 
-def _scoring_stage(features, labels, space, dist_sem, split, cfg, part, model) -> dict:
-    """Landmarks, the LSM placement of the unseen classes and every requested
-    setting's predictions and scores, from the visual stage's outputs."""
-    seeds = split_seeds(cfg.seed, split.split_index)
+def _placement(features, labels, space, dist_sem, split, cfg, part, model):
+    """What the scoring stage needs from the SLPP model: the split's LSM
+    problem (lsm_embed's arguments other than max_iter and tol, with the
+    seen-class landmarks) and its (unseen, seen) test points in latent
+    space. The model itself is not kept."""
     ids, landmarks = embedding.class_landmarks(
         embedding.project(model, features[part.train]), labels[part.train],
         class_ids=sorted(split.seen),
     )
-    unseen_ids = sorted(int(c) for c in split.unseen)
-    unseen_emb, _ = embedding.lsm_embed(
-        landmarks, ids.tolist(), dist_sem, list(space.class_ids), unseen_ids,
-        max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol, restarts=cfg.lsm_restarts,
-        seed=seeds["lsm"],
+    problem = dict(
+        landmarks=landmarks, seen_ids=ids.tolist(), dist_semantic=dist_sem,
+        class_order=list(space.class_ids), unseen_ids=sorted(int(c) for c in split.unseen),
+        restarts=cfg.lsm_restarts, seed=split_seeds(cfg.seed, split.split_index)["lsm"],
     )
+    points = (
+        embedding.project(model, features[part.unseen_test]),
+        embedding.project(model, features[part.seen_test]),
+    )
+    return problem, points
 
-    unseen_pts = embedding.project(model, features[part.unseen_test])
+
+def _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb) -> dict:
+    """Every requested setting's predictions and scores, from a placement
+    (_placement) and the LSM embedding of its unseen classes."""
+    seeds = split_seeds(cfg.seed, split.split_index)
+    seen_ids, unseen_ids = problem["seen_ids"], problem["unseen_ids"]
+    unseen_pts, seen_pts = points
     unseen_truth = labels[part.unseen_test]
-    seen_pts = embedding.project(model, features[part.seen_test])
     seen_truth = labels[part.seen_test]
     space_u = SearchSpace(unseen_ids, unseen_emb)
-    space_t = SearchSpace([*ids.tolist(), *unseen_ids], np.vstack([landmarks, unseen_emb]))
+    space_t = SearchSpace([*seen_ids, *unseen_ids], np.vstack([problem["landmarks"], unseen_emb]))
 
     def predict(setting, points, space, seed_role):
         if setting == "inductive":
@@ -171,7 +181,9 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     labels = np.asarray(labels)
     part, cfg = _visual_stage(features, labels, split, cfg)
     model = _slpp(features, labels, part, cfg)
-    return _scoring_stage(features, labels, space, dist_sem, split, cfg, part, model)
+    problem, points = _placement(features, labels, space, dist_sem, split, cfg, part, model)
+    unseen_emb, _ = embedding.lsm_embed(**problem, max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol)
+    return _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb)
 
 
 def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> dict:
@@ -184,11 +196,13 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     scanned in its declared order; the first combination attaining the best
     mean conventional accuracy over the folds wins.
 
-    Each fold is scored as evaluate_split scores it, with one saving: SLPP
+    Each fold is scored as evaluate_split scores it, with two savings. SLPP
     is fitted once per fold and (clipped) n_neighbors, width_scale, at the
     largest clipped d_latent of the grid, and every d_latent takes its
-    leading directions, which equal a fit at that d_latent bit for bit.
-    The fits live for this call only.
+    leading directions, which equal a fit at that d_latent bit for bit; the
+    fits live for this call only. And every (grid point, fold) placement is
+    built first and all are placed by one lsm_embed_many call, which
+    descends the restarts of all placements of one shape as one stack.
     """
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
@@ -198,11 +212,9 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
     d_max = max(cfg.cv_grid.get("d_latent", ()), default=cfg.d_latent)
     fits = {}  # (fold, n_neighbors, width_scale) -> SLPP fit at the largest d_latent
-    grid_keys = list(cfg.cv_grid)
-    best = None
-    for combo in itertools.product(*cfg.cv_grid.values()):
-        chosen = dict(zip(grid_keys, combo))
-        scores = []
+    grid = [dict(zip(cfg.cv_grid, combo)) for combo in itertools.product(*cfg.cv_grid.values())]
+    jobs = []  # (fold, clipped config, partition, placement) per grid point and fold
+    for chosen in grid:
         for fold in folds:
             part, trial = _visual_stage(features, labels, fold, replace(fold_cfg, **chosen))
             key = (fold.split_index, trial.n_neighbors, trial.width_scale)
@@ -212,8 +224,29 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
                 )
                 fits[key] = _slpp(features, labels, part, top)
             model = embedding.leading_directions(fits[key], trial.d_latent)
-            metrics = _scoring_stage(features, labels, space, dist_sem, fold, trial, part, model)
-            scores.append(metrics["inductive"]["A_UU"])
+            jobs.append((fold, trial, part, *_placement(
+                features, labels, space, dist_sem, fold, trial, part, model
+            )))
+    del fits
+
+    # one lsm_embed_many call per descent budget, which a grid may vary
+    embedded = [None] * len(jobs)
+    budgets = {}
+    for k, (_, trial, *_) in enumerate(jobs):
+        budgets.setdefault((trial.lsm_max_iter, trial.lsm_tol), []).append(k)
+    for (max_iter, tol), ks in budgets.items():
+        placed = embedding.lsm_embed_many(
+            [jobs[k][3] for k in ks], max_iter=max_iter, tol=tol
+        )
+        for k, (unseen_emb, _) in zip(ks, placed):
+            embedded[k] = unseen_emb
+
+    best = None
+    for g, chosen in enumerate(grid):
+        scores = [
+            _scoring_stage(labels, *jobs[k][:5], embedded[k])["inductive"]["A_UU"]
+            for k in range(g * len(folds), (g + 1) * len(folds))
+        ]
         mean = float(np.mean(scores))
         if best is None or mean > best[0]:
             best = (mean, chosen)

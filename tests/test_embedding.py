@@ -129,6 +129,33 @@ class TestDistanceKernel:
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
         assert np.count_nonzero(got == 0.0) >= picked.size + 3
 
+    # rows per block of one item: all 12 in one block, 4 per block, or 24,
+    # which puts two whole items in each block
+    @pytest.mark.parametrize("block_rows", [None, 4, 24])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_stacked_items_match_their_2d_calls(self, monkeypatch, block_rows, offset):
+        # five items with their own scales, norms and slack. Rows 9-11 of
+        # each X are the known zero pairs; rows 1 and 4 copy rows of Y
+        # without being named, so the exact recomputation must find them
+        rng = np.random.default_rng(4)
+        Y = np.stack([grid_points(rng, 12, 8, offset * b) * (b + 1) for b in range(5)])
+        picked = np.array([7, 2, 11])
+        X = np.concatenate(
+            [np.stack([grid_points(rng, 9, 8, offset * b) * (b + 1) for b in range(5)]),
+             Y[:, picked]], axis=1,
+        )
+        X[:, [1, 4]] = Y[:, [5, 9]]
+        zero = (np.arange(9, 12), picked)
+        if block_rows:
+            monkeypatch.setattr(embedding, "_BLOCK_BYTES", 9 * Y.shape[1] * block_rows)
+        got = _pairwise_sq_dists(X, Y, embedding._sq_norms(X), embedding._sq_norms(Y), zero)
+        assert got.shape == (5, 12, 12)
+        for b in range(5):
+            np.testing.assert_array_equal(got[b], _pairwise_sq_dists(X[b], Y[b], zero=zero))
+            np.testing.assert_array_equal(got[b], _pairwise_sq_dists(X[b], Y[b]))
+        assert np.all(got[:, [1, 4], [5, 9]] == 0.0)
+        assert np.all(got[:, 9:][:, [0, 1, 2], picked] == 0.0)
+
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     @pytest.mark.parametrize("d", [1, 8, 64])
     def test_distances_to_one_row_match_the_plain_kernel(self, d, offset):
@@ -602,15 +629,17 @@ class TestLsmEmbed:
         assert trace.restart_index == 0
 
     def test_clearly_lower_later_restart_wins(self, monkeypatch):
+        # every restart of a placement descends in one stack: record each
+        # start's final stress as the stacked descent returns it
         finals = []
-        descend = embedding._descend
+        descend = embedding._descend_many
 
         def recording(*args, **kwargs):
-            Y, trace = descend(*args, **kwargs)
-            finals.append(trace[-1])
-            return Y, trace
+            Y, traces = descend(*args, **kwargs)
+            finals.extend(trace[-1] for trace in traces)
+            return Y, traces
 
-        monkeypatch.setattr(embedding, "_descend", recording)
+        monkeypatch.setattr(embedding, "_descend_many", recording)
         chosen = []
         for seed in range(4):
             finals.clear()
@@ -705,3 +734,194 @@ class TestLsmEmbed:
         landmarks, seen, dist, order, _ = two_landmark_instance()
         with pytest.raises(ValueError):
             lsm_embed(landmarks, seen, dist, order, [1])
+
+
+def reference_descents(problem, max_iter, tol):
+    """lsm_embed's restarts one at a time, as they ran before they descended
+    as one stack: the 2-D stress and gradient and Python-scalar step
+    halving. Returns (Y, stresses, why it stopped) per restart."""
+    pl = embedding._placement(**problem)
+    landmarks, delta_us, delta_uu = pl.landmarks, pl.delta_us, pl.delta_uu
+    n_u, n_s = delta_us.shape
+    iu = np.triu_indices(n_u, k=1)
+    delta_upper = delta_uu[iu]
+    delta_uu_floor = np.maximum(delta_uu, 1e-12)
+    points = np.empty((n_s + n_u, landmarks.shape[1]))
+    points[:n_s] = landmarks
+    points2 = np.empty(n_s + n_u)
+    points2[:n_s], lm2_max = embedding._sq_norms(landmarks)
+    own = np.arange(n_u)
+
+    def evaluate(Y):
+        points[n_s:] = Y
+        y_norms = embedding._sq_norms(Y)
+        points2[n_s:] = y_norms[0]
+        p_norms = (points2, max(lm2_max, y_norms[1]))
+        dist = np.sqrt(_pairwise_sq_dists(Y, points, y_norms, p_norms, (own, own + n_s)))
+        d_us, d_uu = dist[:, :n_s], dist[:, n_s:]
+        stress = ((delta_us - d_us) ** 2 / delta_us).sum()
+        if n_u > 1:
+            stress += ((delta_upper - d_uu[iu]) ** 2 / delta_upper).sum()
+        return stress / pl.sum_delta, (d_us, d_uu)
+
+    def gradient(Y, dists):
+        d_us, d_uu = dists
+        coef = (delta_us - d_us) / (delta_us * np.maximum(d_us, 1e-12))
+        coef_uu = (delta_uu - d_uu) / (delta_uu_floor * np.maximum(d_uu, 1e-12))
+        coef_uu[own, own] = 0.0
+        weight = coef.sum(axis=1) + coef_uu.sum(axis=1)
+        grad = weight[:, None] * Y - coef @ landmarks - coef_uu @ Y
+        return -2.0 * grad / pl.sum_delta
+
+    runs = []
+    for Y in pl.starts:
+        stress, dists = evaluate(Y)
+        trace = [stress]
+        step = embedding._FIRST_STEP
+        why = "max_iter"
+        for _ in range(max_iter):
+            grad = gradient(Y, dists)
+            while step >= embedding._MIN_STEP:
+                Y_new = Y - step * grad
+                s_new, d_new = evaluate(Y_new)
+                if s_new <= stress:
+                    break
+                step *= 0.5
+            else:
+                why = "min_step"
+                break
+            Y, dists = Y_new, d_new
+            change = stress - s_new
+            stress = s_new
+            trace.append(stress)
+            step = min(step * 2.0, 1e12)
+            if stress == 0.0 or change <= tol * max(stress, 1e-300):
+                why = "zero" if stress == 0.0 else "tol"
+                break
+        runs.append((Y, np.asarray(trace), why))
+    return runs
+
+
+def random_problem(rng, n_u, restarts, seed):
+    n_s = int(rng.integers(1, 8))
+    d = int(rng.integers(1, 13))
+    pts = rng.normal(size=(n_s + n_u, int(rng.integers(2, 9)))) * rng.choice([0.01, 1.0, 100.0])
+    order = [int(c) for c in rng.permutation(n_s + n_u)]
+    return dict(
+        landmarks=rng.normal(size=(n_s, d)) * rng.choice([0.1, 1.0, 30.0]) + rng.choice([0.0, 50.0]),
+        seen_ids=order[:n_s], dist_semantic=np.linalg.norm(pts[:, None] - pts[None, :], axis=2),
+        class_order=order, unseen_ids=order[n_s:], restarts=restarts, seed=seed,
+    )
+
+
+class TestStackedDescent:
+    """Every start of a stack follows the per-restart descent bit for bit."""
+
+    @staticmethod
+    def assert_every_start_matches(problems, max_iter, tol):
+        group = [embedding._placement(**p) for p in problems]
+        Y, traces = embedding._descend_many(group, max_iter, tol)
+        runs = [run for p in problems for run in reference_descents(p, max_iter, tol)]
+        assert len(traces) == len(runs) == Y.shape[0]
+        for b, (Y_ref, trace_ref, _) in enumerate(runs):
+            assert Y[b].tobytes() == Y_ref.tobytes()
+            assert traces[b].tobytes() == trace_ref.tobytes()
+        return runs
+
+    @staticmethod
+    def assert_placement_matches(problem, result, max_iter, tol):
+        runs = reference_descents(problem, max_iter, tol)
+        best = 0
+        for r in range(1, len(runs)):
+            if runs[r][1][-1] < runs[best][1][-1] - embedding._STRESS_TIE:
+                best = r
+        Y, trace = result
+        assert Y.tobytes() == runs[best][0].tobytes()
+        assert trace.stresses.tobytes() == runs[best][1].tobytes()
+        assert trace.final_stress == runs[best][1][-1]
+        assert trace.restart_index == best
+
+    @pytest.mark.parametrize("n_u", [1, 2, 3, 4, 5, 6])
+    def test_random_instances(self, n_u):
+        # n_u >= 3 runs the upper-triangle stress sum over several pairs
+        rng = np.random.default_rng(30 + n_u)
+        for trial in range(6):
+            problem = random_problem(rng, n_u, int(rng.integers(1, 5)), trial)
+            max_iter = int(rng.integers(0, 120))
+            tol = float(rng.choice([0.0, 1e-9, 1e-4]))
+            self.assert_every_start_matches([problem], max_iter, tol)
+            result = lsm_embed(**problem, max_iter=max_iter, tol=tol)
+            self.assert_placement_matches(problem, result, max_iter, tol)
+
+    @pytest.mark.parametrize("case", ["unseen", "landmark"])
+    def test_coincident_starts(self, case):
+        landmarks, dist, Y0 = TestLsmEmbed.coincident_instance(case)
+        order = list(range(6))
+        problem = dict(
+            landmarks=landmarks, seen_ids=order[:4], dist_semantic=dist,
+            class_order=order, unseen_ids=[4, 5], init=Y0,
+        )
+        self.assert_every_start_matches([problem], 60, 1e-9)
+
+    def test_exact_fit_stops_at_zero_stress(self):
+        landmarks, seen, dist, order, unseen = two_landmark_instance()
+        problem = dict(
+            landmarks=landmarks, seen_ids=seen, dist_semantic=dist, class_order=order,
+            unseen_ids=unseen, init=np.array([[1.0, 0.0]]),
+        )
+        (run,) = self.assert_every_start_matches([problem], 100, 0.0)
+        assert run[2] == "zero"
+        assert run[1].tolist() == [0.0, 0.0]
+
+    def test_tol_stopped_descents_of_unequal_length(self):
+        problem = random_problem(np.random.default_rng(53), 3, 5, 3)
+        runs = self.assert_every_start_matches([problem], 500, 1e-4)
+        assert {why for _, _, why in runs} == {"tol"}
+        assert len({trace.size for _, trace, _ in runs}) > 1
+
+    def test_start_that_runs_out_of_steps(self):
+        # a non-finite start rejects every trial: its step halves below
+        # _MIN_STEP, and it stops where it started
+        landmarks, seen, dist, order, unseen = two_landmark_instance()
+        problem = dict(
+            landmarks=landmarks, seen_ids=seen, dist_semantic=dist, class_order=order,
+            unseen_ids=unseen, init=np.array([[np.nan, 0.0]]),
+        )
+        with np.errstate(invalid="ignore"):
+            (run,) = self.assert_every_start_matches([problem], 100, 0.0)
+        assert run[2] == "min_step"
+        assert run[1].size == 1
+
+    def test_mixed_shapes_in_one_call(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        problems = [random_problem(rng, n_u, restarts, seed)
+                    for seed, (n_u, restarts) in enumerate([(3, 2), (1, 3), (4, 1), (2, 2)])]
+        # two more placements of the first problem's shape, one of them from
+        # a given start, and one with no unseen class to place
+        for seed, init in ((7, None), (8, rng.normal(size=(3, problems[0]["landmarks"].shape[1])))):
+            other = dict(problems[0], seed=seed, init=init)
+            other["dist_semantic"] = other["dist_semantic"] * (1.0 + seed / 10)
+            problems.append(other)
+        problems.append(dict(problems[1], unseen_ids=[]))
+
+        descend, groups = embedding._descend_many, []
+
+        def recording(group, max_iter, tol):
+            groups.append([p.starts.shape for p in group])
+            return descend(group, max_iter, tol)
+
+        monkeypatch.setattr(embedding, "_descend_many", recording)
+        results = embedding.lsm_embed_many(problems, max_iter=80, tol=1e-9)
+        assert len(results) == len(problems)
+        # one stack per shape, its placements in call order
+        shape = problems[0]["landmarks"].shape[1]
+        assert groups[0] == [(2, 3, shape), (2, 3, shape), (1, 3, shape)]
+        assert len(groups) == 4
+        for problem, result in zip(problems[:-1], results[:-1]):
+            self.assert_placement_matches(problem, result, 80, 1e-9)
+            alone = lsm_embed(**problem, max_iter=80, tol=1e-9)
+            assert alone[0].tobytes() == result[0].tobytes()
+            assert alone[1].stresses.tobytes() == result[1].stresses.tobytes()
+        Y, trace = results[-1]
+        assert Y.shape == (0, problems[1]["landmarks"].shape[1])
+        assert trace.stresses.size == 0

@@ -172,19 +172,21 @@ class TestCrossValidation:
             cv_grid={"d_latent": (2, 3), "n_neighbors": (5,)},
             transductive=False, gzsl=False, lsm_max_iter=50,
         )
-        cv_folds, lsm_embed = data_io.cv_folds, embedding.lsm_embed
+        cv_folds, lsm_embed_many = data_io.cv_folds, embedding.lsm_embed_many
         fold_seeds, lsm_seeds = [], []
 
         def recording_folds(seen, n_folds, seed):
             fold_seeds.append(seed)
             return cv_folds(seen, n_folds, seed)
 
-        def recording_lsm(*args, seed, **kwargs):
-            lsm_seeds.append(seed)
-            return lsm_embed(*args, seed=seed, **kwargs)
+        # every placement, the CV's stacked ones and the split's own through
+        # lsm_embed, goes through lsm_embed_many in order
+        def recording_lsm(problems, **kwargs):
+            lsm_seeds.extend(problem["seed"] for problem in problems)
+            return lsm_embed_many(problems, **kwargs)
 
         monkeypatch.setattr(data_io, "cv_folds", recording_folds)
-        monkeypatch.setattr(embedding, "lsm_embed", recording_lsm)
+        monkeypatch.setattr(embedding, "lsm_embed_many", recording_lsm)
         reports = pipeline.run_evaluation(
             ds.name, ds.features, ds.labels, space, splits[:2], cfg, method="m"
         )
