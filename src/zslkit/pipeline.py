@@ -213,7 +213,7 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     d_max = max(cfg.cv_grid.get("d_latent", ()), default=cfg.d_latent)
     fits = {}  # (fold, n_neighbors, width_scale) -> SLPP fit at the largest d_latent
     grid = [dict(zip(cfg.cv_grid, combo)) for combo in itertools.product(*cfg.cv_grid.values())]
-    jobs = []  # (fold, clipped config, partition, placement) per grid point and fold
+    jobs = []  # (fold, clipped config, partition, problem, points) per grid point and fold
     for chosen in grid:
         for fold in folds:
             part, trial = _visual_stage(features, labels, fold, replace(fold_cfg, **chosen))
@@ -243,10 +243,11 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
 
     best = None
     for g, chosen in enumerate(grid):
-        scores = [
-            _scoring_stage(labels, *jobs[k][:5], embedded[k])["inductive"]["A_UU"]
-            for k in range(g * len(folds), (g + 1) * len(folds))
-        ]
+        scores = []
+        for k in range(g * len(folds), (g + 1) * len(folds)):
+            fold, trial, part, problem, points = jobs[k]
+            metrics = _scoring_stage(labels, fold, trial, part, problem, points, embedded[k])
+            scores.append(metrics["inductive"]["A_UU"])
         mean = float(np.mean(scores))
         if best is None or mean > best[0]:
             best = (mean, chosen)

@@ -77,6 +77,9 @@ def spec_from_json(payload: dict) -> SynthSpec:
     noise = payload.pop("noise", None)
     if noise is not None:
         if isinstance(noise, dict):
+            for part in noise:
+                if part not in ("visual", "semantic", "bag"):
+                    raise ConfigError(f"unknown part {part!r} of synth spec key 'noise'")
             for part in ("visual", "semantic", "bag"):
                 if part in noise:
                     payload[f"noise_{part}"] = float(_checked("noise", noise[part], "float"))

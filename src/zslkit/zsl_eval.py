@@ -300,13 +300,21 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
-    """Read a report JSON file; DataError names the file and what it lacks."""
+    """Read a report JSON file; DataError names the file and what it lacks,
+    including a metric that only one of "mean" and "stderr" has."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise DataError(f"report {path} is not a JSON object")
     for key in ("dataset", "method", "setting", "splits", "mean", "stderr"):
         if key not in payload:
             raise DataError(f"report {path} lacks key {key!r}")
+    for key in ("mean", "stderr"):
+        if not isinstance(payload[key], dict):
+            raise DataError(f"report {path}: {key!r} is not a JSON object")
+    unpaired = sorted(payload["mean"].keys() ^ payload["stderr"].keys())
+    if unpaired:
+        lacking = "stderr" if unpaired[0] in payload["mean"] else "mean"
+        raise DataError(f"report {path}: {lacking!r} lacks key {unpaired[0]!r}")
     return EvalReport(**{f.name: payload[f.name] for f in fields(EvalReport) if f.name in payload})
 
 

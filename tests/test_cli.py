@@ -137,9 +137,11 @@ class TestSynthCommand:
             ({"noise": "abc"}, "'noise'"),
             ({"noise": [0.1]}, "'noise'"),
             ({"noise": {"visual": "abc"}}, "'noise'"),
+            ({"noise": {"visual": 0.1, "semantc": 9}}, "'semantc'"),
         ],
         ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string",
-             "float-as-bool", "name-as-int", "noise-string", "noise-list", "noise-part-string"],
+             "float-as-bool", "name-as-int", "noise-string", "noise-list", "noise-part-string",
+             "noise-unknown-part"],
     )
     def test_wrongly_typed_spec_is_config_error(self, tmp_path, capsys, spec, named):
         spec_path = tmp_path / "spec.json"
@@ -395,8 +397,15 @@ class TestReportCommand:
             ({"dataset": "d", "method": "m", "setting": "inductive", "splits": [], "mean": {}},
              "'stderr'"),
             ([{"dataset": "d"}], "not a JSON object"),
+            ({"dataset": "d", "method": "m", "setting": "inductive", "splits": [],
+              "mean": {"A_UU": 0.5, "H": 0.4}, "stderr": {"H": 0.1}}, "'A_UU'"),
+            ({"dataset": "d", "method": "m", "setting": "inductive", "splits": [],
+              "mean": {}, "stderr": {"H": 0.1}}, "'H'"),
+            ({"dataset": "d", "method": "m", "setting": "inductive", "splits": [],
+              "mean": [0.5], "stderr": {}}, "'mean'"),
         ],
-        ids=["no-dataset", "no-stderr", "list"],
+        ids=["no-dataset", "no-stderr", "list", "stderr-lacks-metric", "mean-lacks-metric",
+             "mean-not-object"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, payload, named):
         path = tmp_path / "bad_report.json"

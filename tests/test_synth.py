@@ -39,6 +39,10 @@ class TestSpec:
         with pytest.raises(ConfigError):
             synth.spec_from_json({"what": 1})
 
+    def test_rejects_unknown_noise_part(self):
+        with pytest.raises(ConfigError, match="'semantc'"):
+            synth.spec_from_json({"noise": {"visual": 0.1, "semantc": 9}})
+
     def test_rejects_seen_not_below_classes(self):
         with pytest.raises(ConfigError):
             synth.spec_from_json({"n_classes": 5, "n_seen": 5})
