@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # encoders imports gmm, which imports this module
 # Sammon descent: the first trial step, and the step below which it stops.
 _FIRST_STEP = 0.1
 _MIN_STEP = 1e-30
+# Trials a start makes per round of the stacked descent: its step and
+# halved retries of it. Accepted steps on the benchmark placements come
+# after 0, 1 or 2 rejections, so three trials settle almost every step in
+# one round.
+_TRIALS = 3
 # Ridge on the SLPP constraint matrix, relative to its mean diagonal.
 _SLPP_REG = 1e-8
 # Final Sammon stresses closer than this are tied, and the earlier restart
@@ -608,15 +613,15 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     below _MIN_STEP, after max_iter accepted steps, at stress 0, or when an
     accepted step lowers its stress by at most tol times the new stress.
 
-    Each round evaluates, for every start still searching, its next two
-    trials: its step and the halved retry it makes should that step be
-    rejected. So a rejected step and its accepted retry, the common case
-    once the step has grown to the right size, take one round rather than
-    two; a retry that is not reached is discarded. The stack computes each
-    trial alone (one gemm per item, per-row sums of C-ordered arrays), and
-    each start keeps its own step, stress trace, accept rule and stop rule
-    as Python floats, so every start follows, bit for bit, the trajectory
-    it would follow by itself. Starts that stop leave the stack.
+    Each round evaluates, for every start still searching, its next
+    _TRIALS trials: its step and the halved retries it makes while they are
+    rejected. So a step and the rejections before it take one round, not
+    one round per trial; trials after the one a start accepts are
+    discarded. The stack computes each trial alone (one gemm per item,
+    per-row sums of C-ordered arrays), and each start keeps its own step,
+    stress trace, accept rule and stop rule as Python floats, so every
+    start follows, bit for bit, the trajectory it would follow by itself.
+    Starts that stop leave the stack.
 
     Returns (Y, traces): each start's final iterate, stacked, and its
     stress after the start and each accepted step, in the order of the
@@ -634,8 +639,8 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
         return stacked if len(group) == 1 else stacked[owner]
 
     def per_trial(a):
-        # a start's two trials share its targets
-        return a if len(a) == 1 else np.repeat(a, 2, axis=0)
+        # a start's trials share its targets
+        return a if len(a) == 1 else np.repeat(a, _TRIALS, axis=0)
 
     # the stress sums (delta - d)^2 / delta over the seen-unseen pairs and
     # then over the upper triangle of the unseen-unseen pairs, each in
@@ -664,9 +669,9 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     # each trial measures its iterate Y against [landmarks; Y]: that array
     # and its squared norms are kept in buffers whose landmark rows are
     # filled once
-    points = np.empty((2 * B, m, d))
+    points = np.empty((_TRIALS * B, m, d))
     points[:, :n_s] = per_trial(landmarks)
-    norms = np.empty((2 * B, m))
+    norms = np.empty((_TRIALS * B, m))
     norms[:, :n_s], lm_max = _sq_norms(points[:, :n_s])
 
     def stress(Y, points, norms, lm_max, targets, sum_delta):
@@ -700,10 +705,10 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
         return grad
 
     Y = np.concatenate([p.starts for p in group])
-    # the starts fill both trial slots of the first evaluation
-    s, dist = stress(np.repeat(Y, 2, axis=0), points, norms, lm_max, *stress_targets)
-    dist = dist[::2].copy()
-    traces = [array("d", [v]) for v in s[::2].tolist()]
+    # the starts fill every trial slot of the first evaluation
+    s, dist = stress(np.repeat(Y, _TRIALS, axis=0), points, norms, lm_max, *stress_targets)
+    dist = dist[::_TRIALS].copy()
+    traces = [array("d", [v]) for v in s[::_TRIALS].tolist()]
     final = Y.copy()
     # the starts still searching: their ids, stresses and steps
     ids = list(range(B)) if max_iter > 0 else []
@@ -711,25 +716,29 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     step = [_FIRST_STEP] * B
     if ids:
         grad = gradient(Y, dist, *grad_targets)
-    halves = np.array([1.0, 0.5])
+    halvings = 0.5 ** np.arange(_TRIALS)
     while ids:
-        steps = np.array(step)[:, None] * halves
+        steps = np.array(step)[:, None] * halvings
         trials = (Y[:, None] - steps[:, :, None, None] * grad[:, None]).reshape(-1, n_u, d)
         s_try, d_try = stress(trials, points, norms, lm_max, *stress_targets)
         s_try = s_try.tolist()
         took, picks, stopped = [], [], []
         for r, b in enumerate(ids):
-            if s_try[2 * r] <= s[r]:
-                pick, new_step = 2 * r, min(step[r] * 2.0, 1e12)
-            elif step[r] * 0.5 >= _MIN_STEP and s_try[2 * r + 1] <= s[r]:
-                pick, new_step = 2 * r + 1, step[r]  # min(step / 2 * 2, 1e12)
-            else:  # both rejected: the next trial is at a quarter of the step
-                step[r] *= 0.25
-                if step[r] < _MIN_STEP:
+            trial, pick = step[r], None
+            for k in range(_TRIALS):
+                if s_try[_TRIALS * r + k] <= s[r]:
+                    pick = _TRIALS * r + k
+                    break
+                trial *= 0.5
+                if trial < _MIN_STEP:  # the next trial is never made
+                    break
+            if pick is None:
+                step[r] = trial
+                if trial < _MIN_STEP:
                     stopped.append(r)
                 continue
             change = s[r] - s_try[pick]
-            s[r], step[r] = s_try[pick], new_step
+            s[r], step[r] = s_try[pick], min(trial * 2.0, 1e12)
             traces[b].append(s[r])
             took.append(r)
             picks.append(pick)
@@ -752,10 +761,10 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
             keep = [r for r in range(len(ids)) if r not in gone]
             ids, s, step = ([a[r] for r in keep] for a in (ids, s, step))
             Y, dist, grad = Y[keep], dist[keep], grad[keep]
-            twice = [2 * r + k for r in keep for k in (0, 1)]
-            points, norms, lm_max = points[twice], norms[twice], lm_max[twice]
+            slots = [_TRIALS * r + k for r in keep for k in range(_TRIALS)]
+            points, norms, lm_max = points[slots], norms[slots], lm_max[slots]
             if len(group) > 1:
-                stress_targets = tuple(t[twice] for t in stress_targets)
+                stress_targets = tuple(t[slots] for t in stress_targets)
                 grad_targets = tuple(t[keep] for t in grad_targets)
     return final, [np.asarray(trace) for trace in traces]
 

@@ -116,7 +116,7 @@ def _slpp(features, labels, part, cfg: EvalConfig) -> embedding.LatentModel:
     )
 
 
-def _placement(features, labels, space, dist_sem, split, cfg, part, model):
+def _latent_stage(features, labels, space, dist_sem, split, cfg, part, model):
     """What the scoring stage needs from the SLPP model: the split's LSM
     problem (lsm_embed's arguments other than max_iter and tol, with the
     seen-class landmarks) and its (unseen, seen) test points in latent
@@ -138,8 +138,9 @@ def _placement(features, labels, space, dist_sem, split, cfg, part, model):
 
 
 def _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb) -> dict:
-    """Every requested setting's predictions and scores, from a placement
-    (_placement) and the LSM embedding of its unseen classes."""
+    """Every requested setting's predictions and scores, from the latent
+    stage's outputs (_latent_stage) and the LSM embedding of the unseen
+    classes."""
     seeds = split_seeds(cfg.seed, split.split_index)
     seen_ids, unseen_ids = problem["seen_ids"], problem["unseen_ids"]
     unseen_pts, seen_pts = points
@@ -181,7 +182,7 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     labels = np.asarray(labels)
     part, cfg = _visual_stage(features, labels, split, cfg)
     model = _slpp(features, labels, part, cfg)
-    problem, points = _placement(features, labels, space, dist_sem, split, cfg, part, model)
+    problem, points = _latent_stage(features, labels, space, dist_sem, split, cfg, part, model)
     unseen_emb, _ = embedding.lsm_embed(**problem, max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol)
     return _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb)
 
@@ -224,7 +225,7 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
                 )
                 fits[key] = _slpp(features, labels, part, top)
             model = embedding.leading_directions(fits[key], trial.d_latent)
-            jobs.append((fold, trial, part, *_placement(
+            jobs.append((fold, trial, part, *_latent_stage(
                 features, labels, space, dist_sem, fold, trial, part, model
             )))
     del fits

@@ -135,8 +135,9 @@ class TestDistanceKernel:
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_stacked_items_match_their_2d_calls(self, monkeypatch, block_rows, offset):
         # five items with their own scales, norms and slack. Rows 9-11 of
-        # each X are the known zero pairs; rows 1 and 4 copy rows of Y
-        # without being named, so the exact recomputation must find them
+        # each X are the known zero pairs; rows 1 and 4 copy rows of Y that
+        # differ from item to item without being named, so the exact
+        # recomputation must find them in the right item
         rng = np.random.default_rng(4)
         Y = np.stack([grid_points(rng, 12, 8, offset * b) * (b + 1) for b in range(5)])
         picked = np.array([7, 2, 11])
@@ -144,7 +145,8 @@ class TestDistanceKernel:
             [np.stack([grid_points(rng, 9, 8, offset * b) * (b + 1) for b in range(5)]),
              Y[:, picked]], axis=1,
         )
-        X[:, [1, 4]] = Y[:, [5, 9]]
+        items, copied = np.arange(5), np.array([[5, 9], [6, 0], [8, 3], [10, 4], [1, 5]])
+        X[items[:, None], [1, 4]] = Y[items[:, None], copied]
         zero = (np.arange(9, 12), picked)
         if block_rows:
             monkeypatch.setattr(embedding, "_BLOCK_BYTES", 9 * Y.shape[1] * block_rows)
@@ -153,7 +155,7 @@ class TestDistanceKernel:
         for b in range(5):
             np.testing.assert_array_equal(got[b], _pairwise_sq_dists(X[b], Y[b], zero=zero))
             np.testing.assert_array_equal(got[b], _pairwise_sq_dists(X[b], Y[b]))
-        assert np.all(got[:, [1, 4], [5, 9]] == 0.0)
+        assert np.all(got[items[:, None], [1, 4], copied] == 0.0)
         assert np.all(got[:, 9:][:, [0, 1, 2], picked] == 0.0)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
