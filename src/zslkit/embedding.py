@@ -724,21 +724,21 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
         s_try = s_try.tolist()
         took, picks, stopped = [], [], []
         for r, b in enumerate(ids):
-            trial, pick = step[r], None
+            trial_step, pick = step[r], None
             for k in range(_TRIALS):
                 if s_try[_TRIALS * r + k] <= s[r]:
                     pick = _TRIALS * r + k
                     break
-                trial *= 0.5
-                if trial < _MIN_STEP:  # the next trial is never made
+                trial_step *= 0.5
+                if trial_step < _MIN_STEP:  # the next trial is never made
                     break
             if pick is None:
-                step[r] = trial
-                if trial < _MIN_STEP:
+                step[r] = trial_step
+                if trial_step < _MIN_STEP:
                     stopped.append(r)
                 continue
             change = s[r] - s_try[pick]
-            s[r], step[r] = s_try[pick], min(trial * 2.0, 1e12)
+            s[r], step[r] = s_try[pick], min(trial_step * 2.0, 1e12)
             traces[b].append(s[r])
             took.append(r)
             picks.append(pick)
