@@ -202,8 +202,9 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     largest clipped d_latent of the grid, and every d_latent takes its
     leading directions, which equal a fit at that d_latent bit for bit; the
     fits live for this call only. And every (grid point, fold) placement is
-    built first and all are placed by one lsm_embed_many call, which
-    descends the restarts of all placements of one shape as one stack.
+    built first, and all are placed by lsm_embed_many, which descends the
+    restarts of all placements of one shape as one stack; the grid's LSM
+    budget (lsm_max_iter, lsm_tol) takes one call per value.
     """
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
@@ -228,9 +229,8 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
             jobs.append((fold, trial, part, *_latent_stage(
                 features, labels, space, dist_sem, fold, trial, part, model
             )))
-    del fits
+    del fits  # the jobs hold what scoring needs
 
-    # one lsm_embed_many call per descent budget, which a grid may vary
     embedded = [None] * len(jobs)
     budgets = {}
     for k, (_, trial, *_) in enumerate(jobs):

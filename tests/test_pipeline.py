@@ -153,6 +153,24 @@ class TestCrossValidation:
         )
         assert chosen == again
 
+    def test_cv_grid_may_vary_the_lsm_budget(self, planted, monkeypatch):
+        # the CV placements are stacked, one lsm_embed_many call per budget
+        ds, space, splits = planted
+        cfg = pipeline.EvalConfig(
+            seed=2, cv=True, cv_n_folds=2,
+            cv_grid={"d_latent": (2,), "lsm_max_iter": (10, 30)},
+            transductive=False, gzsl=False, lsm_restarts=1,
+        )
+        lsm_embed_many, calls = embedding.lsm_embed_many, []
+
+        def recording(problems, *, max_iter, tol):
+            calls.append((max_iter, len(problems)))
+            return lsm_embed_many(problems, max_iter=max_iter, tol=tol)
+
+        monkeypatch.setattr(embedding, "lsm_embed_many", recording)
+        pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
+        assert calls == [(10, 2), (30, 2)]
+
     def test_cv_run_records_selection(self, planted):
         ds, space, splits = planted
         cfg = pipeline.EvalConfig(
