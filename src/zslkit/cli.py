@@ -269,7 +269,7 @@ def cmd_sweep(args) -> int:
         "axis": axis,
         "values": values,
         "method": method,
-        "k": None if axis == "k" else k,
+        "k": k if axis == "images" and method in FISHER_METHODS else None,
         "dataset": dataset.name,
         "config": cfg.echo(),
         "notes": notes,

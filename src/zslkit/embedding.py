@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, NumericalError
 
@@ -35,6 +34,8 @@ _MIN_STEP = 1e-30
 _TRIALS = 3
 # Ridge on the SLPP constraint matrix, relative to its mean diagonal.
 _SLPP_REG = 1e-8
+# Largest triangular block _lower_inverse hands to np.linalg.inv whole.
+_TRIANGULAR_LEAF = 128
 # Final Sammon stresses closer than this are tied, and the earlier restart
 # wins. The stress is normalised by the summed target distances, so one
 # absolute bound serves every scale. When d_latent >= the landmark count,
@@ -375,6 +376,40 @@ def median_pairwise_distance(X) -> float:
     return float(np.sqrt(np.median(positive, overwrite_input=True)))
 
 
+def _lower_inverse(L):
+    """Inverse of a lower-triangular matrix, by 2 x 2 blocks. numpy has no
+    triangular inverse, and np.linalg.inv's LU does about four times the
+    flops of these block products on a large L."""
+    n = L.shape[0]
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    top, bottom = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = top, bottom
+    out[h:, :h] = -bottom @ (L[h:, :h] @ top)
+    return out
+
+
+def _generalized_eigh(A, B):
+    """Eigenvalues (ascending) and B-orthonormal eigenvectors of A p = λ B p,
+    for symmetric A and symmetric positive definite B.
+
+    B = L L^T reduces the problem to C q = λ q with C = L^-1 A L^-T and
+    p = L^-T q, all in numpy.linalg: scipy's LAPACK would wake a second
+    OpenBLAS thread pool (see README). Every column is mapped back, so a
+    column does not depend on how many a caller keeps.
+    """
+    try:
+        L_inv = _lower_inverse(np.linalg.cholesky(B))
+        eigvals, Q = np.linalg.eigh(L_inv @ A @ L_inv.T)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(
+            f"constraint matrix is singular beyond regularization: {e}"
+        ) from e
+    return eigvals, L_inv.T @ Q
+
+
 def slpp_fit(
     X,
     labels,
@@ -419,13 +454,13 @@ def slpp_fit(
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
     B[np.diag_indices(d)] += _SLPP_REG * np.trace(B) / d
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise DataError(
+            "features overflow: the SLPP matrices X^T L X and X^T D X are not "
+            "finite; rescale the features"
+        )
 
-    try:
-        eigvals, eigvecs = scipy.linalg.eigh(A, B)
-    except scipy.linalg.LinAlgError as e:
-        raise NumericalError(
-            f"constraint matrix is singular beyond regularization: {e}"
-        ) from e
+    eigvals, eigvecs = _generalized_eigh(A, B)
 
     kept = []
     for idx in range(eigvecs.shape[1]):

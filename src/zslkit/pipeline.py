@@ -100,6 +100,13 @@ def _visual_stage(features, labels, split, cfg: EvalConfig):
     if cfg.gzsl:
         seed = split_seeds(cfg.seed, split.split_index)["holdout"]
         part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seed)
+        classes, counts = np.unique(labels[part.train], return_counts=True)
+        if (counts == 1).any():
+            raise DataError(
+                f"the GZSL holdout (holdout_fraction {cfg.holdout_fraction}) leaves "
+                f"seen class {int(classes[counts == 1][0])} of split {split.split_index} "
+                "with a single training example; SLPP needs two per class"
+            )
     else:  # no holdout: the seen classes train in full
         part = data_io.GzslPartition(
             train=np.flatnonzero(np.isin(labels, list(split.seen))),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zslkit import cli
+from zslkit import cli, data_io, synth
 from zslkit.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -302,6 +302,34 @@ class TestEvaluateCommand:
         echo = json.loads((tmp_path / "from_config" / "evaluate_config.json").read_text())
         assert echo["config"]["seed"] == 12  # flag wins over config file
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize(
+        "per_class,scale,named",
+        [
+            (15, 1e160, "features overflow"),
+            (2, 1.0, "GZSL holdout"),
+        ],
+        ids=["features-overflow", "holdout-leaves-one-example"],
+    )
+    def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, named):
+        spec = synth.SynthSpec(
+            n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
+            examples_per_class=per_class, images_per_class=6, n_splits=2,
+        )
+        manifest = synth.make_synthetic(spec, 5, tmp_path / "data")
+        features = tmp_path / "data" / "features.zmat"
+        data_io.save_matrix(data_io.load_matrix(features) * scale, features)
+        code, err = main_error(
+            capsys, "evaluate",
+            "--manifest", manifest,
+            "--space", tmp_path / "data" / "space.json",
+            "--splits", tmp_path / "data" / "splits.json",
+            "--d-latent", 3, "--neighbors", 5, "--out", tmp_path / "eval",
+        )
+        assert code == 3
+        assert err["error"] == "DataError"
+        assert named in err["message"]
+
 
 class TestSweepCommand:
     def test_images_axis(self, synth_dir, tmp_path):
@@ -322,7 +350,7 @@ class TestSweepCommand:
         assert values == {2, 4, 10}
         assert "full bags used" in result.stderr  # 10 > 6 images per class
         echo = json.loads((tmp_path / "sweep_config.json").read_text())
-        assert echo["k"] == 1  # off the k axis, --k (here its default) is echoed
+        assert echo["k"] is None  # afv reads no k, as encode echoes it
 
     def test_k_axis_rows(self, synth_dir, tmp_path):
         result = run_cli(

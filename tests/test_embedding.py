@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zslkit import embedding
 from zslkit.embedding import (
@@ -420,6 +421,32 @@ class TestSlpp:
         X, labels = make_blobs(rng, n_classes=2, per_class=5, d=3)
         with pytest.raises(NumericalError):
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
+
+
+class TestGeneralizedEigh:
+    """The numpy.linalg reduction against scipy.linalg.eigh(A, B), kept here
+    only as a reference."""
+
+    @pytest.mark.parametrize("d", [3, 8, 64, 256])
+    def test_matches_scipy_reference(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            G = rng.normal(size=(d, 2 * d))
+            H = rng.normal(size=(d, 2 * d))
+            A = G @ G.T - d * np.eye(d)  # symmetric, indefinite
+            B = H @ H.T + 0.1 * np.eye(d)  # symmetric positive definite
+            ref_vals, ref_vecs = scipy.linalg.eigh(A, B)
+            vals, vecs = embedding._generalized_eigh(A, B)
+            assert np.abs(vals - ref_vals).max() <= 1e-12 * np.abs(ref_vals).max()
+            # same sign on every column: B-inner products near +1, not -1
+            assert (np.sum(ref_vecs * (B @ vecs), axis=0) > 0).all()
+            assert np.abs(vecs.T @ B @ vecs - np.eye(d)).max() <= 1e-10
+
+    def test_indefinite_constraint_is_numerical_error(self):
+        A = np.eye(3)
+        B = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NumericalError, match="singular beyond regularization"):
+            embedding._generalized_eigh(A, B)
 
 
 class TestMedianPairwiseDistance:
