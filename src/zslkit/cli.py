@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         return _fail(2, e)
     except (DataError, OSError, ValueError) as e:
         return _fail(3, e)
-    except (NumericalError, np.linalg.LinAlgError) as e:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as e:
         return _fail(4, e)
 
 

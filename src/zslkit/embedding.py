@@ -327,53 +327,72 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
     stays zero, so it is an error.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels = np.asarray(labels)
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points to build an affinity graph")
-    if not 0 < n_neighbors < n:
-        raise ValueError(f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}")
-    if width <= 0:
-        raise ValueError(f"kernel width must be positive, got {width}")
-
-    norms = _sq_norms(X)
-    d2 = _pairwise_sq_dists(X, X, norms)
-    slack = _slack(norms[1], norms[1], X.shape[1])
-    scale = 2.0 * width**2
-    W = np.zeros((n, n))
-    step = max(1, _BLOCK_BYTES // (40 * n))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        i, j, dist = _knn_exact(X, d2[rows], slack, start, n_neighbors)
-        keep = labels[i] == labels[j]
-        W[i[keep], j[keep]] = np.exp(-dist[keep] / scale)
-    del d2  # so that max(W, W^T) is the only other n x n array
-    W = np.maximum(W, W.T)
-
-    empty = np.flatnonzero(W.sum(axis=1) == 0)
-    for i in empty:
-        mates = np.flatnonzero(labels == labels[i])
-        mates = mates[mates != i]
-        if mates.size == 0:
-            raise DataError(
-                f"class {labels[i]} has a single example; its graph row cannot "
-                "be populated"
-            )
-        W[i, mates] = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, i), mates) / scale)
-        W[mates, i] = W[i, mates]
-    return AffinityGraph(weights=W)
+    return AffinityGraph(next(_affinities(X, np.asarray(labels), [(n_neighbors, 1.0)], width)))
 
 
 def median_pairwise_distance(X) -> float:
     """Median of the positive pairwise Euclidean distances."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d2 = _pairwise_sq_dists(X, X)
-    for i in range(X.shape[0]):  # keep the strict upper triangle only
-        d2[i, : i + 1] = 0.0
-    positive = d2[d2 > 0]
+    return _median_width(_pairwise_sq_dists(X, X))
+
+
+def _median_width(d2) -> float:
+    """Square root of the median positive entry of d2's strict upper triangle."""
+    positive = d2[np.triu(d2 > 0, 1)]
     if positive.size == 0:
         raise DataError("all points coincide; no positive pairwise distance")
     return float(np.sqrt(np.median(positive, overwrite_input=True)))
+
+
+def _affinities(X, labels, graphs, width):
+    """knn_affinity's weights for each (n_neighbors, width_scale) of graphs, in
+    order, from one distance pass over X that takes the median (a graph's width
+    is width, or width_scale times the median) and every n_neighbors' kNN pairs.
+    Only the pairs outlive the pass; the weights are built as each is asked for."""
+    n = X.shape[0]
+    norms = _sq_norms(X)
+    if not norms[1] <= np.finfo(np.float64).max / 4:  # no squared distance exceeds 4 max ||x||^2
+        raise DataError("features overflow: squared norms beyond float64; rescale the features")
+    d2 = _pairwise_sq_dists(X, X, norms)
+    median = _median_width(d2) if width is None else None
+    widths = [width_scale * median if width is None else width for _, width_scale in graphs]
+    if n < 2:
+        raise ValueError("need at least two points to build an affinity graph")
+    for (n_neighbors, _), w in zip(graphs, widths):
+        if not 0 < n_neighbors < n:
+            raise ValueError(f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}")
+        if w <= 0:
+            raise ValueError(f"kernel width must be positive, got {w}")
+
+    slack = _slack(norms[1], norms[1], X.shape[1])
+    pairs = {n_neighbors: [] for n_neighbors, _ in graphs}
+    step = max(1, _BLOCK_BYTES // (40 * n))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        for n_neighbors, found in pairs.items():
+            i, j, dist = _knn_exact(X, d2[rows], slack, start, n_neighbors)
+            keep = labels[i] == labels[j]
+            found.append((i[keep], j[keep], dist[keep]))
+    del d2
+
+    for (n_neighbors, _), w in zip(graphs, widths):
+        scale = 2.0 * w**2
+        W = np.zeros((n, n))
+        for i, j, dist in pairs[n_neighbors]:
+            W[i, j] = np.exp(-dist / scale)
+        W = np.maximum(W, W.T)
+        for i in np.flatnonzero(W.sum(axis=1) == 0):
+            mates = np.flatnonzero(labels == labels[i])
+            mates = mates[mates != i]
+            if mates.size == 0:
+                raise DataError(
+                    f"class {labels[i]} has a single example; its graph row cannot "
+                    "be populated"
+                )
+            W[i, mates] = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, i), mates) / scale)
+            W[mates, i] = W[i, mates]
+        yield W
+        del W
 
 
 def _lower_inverse(L):
@@ -435,21 +454,33 @@ def slpp_fit(
     If `width` is None it defaults to width_scale times the median pairwise
     distance of X.
     """
+    return slpp_fit_many(X, labels, d_latent=d_latent, graphs=[(n_neighbors, width_scale)],
+                         width=width)[0]
+
+
+def slpp_fit_many(X, labels, *, d_latent: int, graphs, width: float | None = None) -> list:
+    """slpp_fit at every (n_neighbors, width_scale) of graphs, from one
+    distance pass over X: one LatentModel per graph, in order, each equal
+    bit for bit to that graph's own slpp_fit."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels)
-    n, d = X.shape
-    if labels.shape[0] != n:
-        raise ValueError(f"{n} points but {labels.shape[0]} labels")
+    if labels.shape[0] != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} points but {labels.shape[0]} labels")
     if d_latent < 1:
         raise ValueError(f"d_latent must be >= 1, got {d_latent}")
-    if width is None:
-        width = width_scale * median_pairwise_distance(X)
+    models = []
+    for W in _affinities(X, labels, graphs, width):
+        models.append(_slpp_solve(X, W, d_latent))
+        del W  # freed before the next graph's weights are built
+    return models
 
-    graph = knn_affinity(X, labels, n_neighbors=n_neighbors, width=width)
-    row_sums = graph.weights.sum(axis=1)
 
+def _slpp_solve(X, W, d_latent: int) -> LatentModel:
+    """slpp_fit's eigenproblem and column selection on the graph weights W."""
+    d = X.shape[1]
+    row_sums = W.sum(axis=1)
     XD = X * row_sums[:, None]
-    A = X.T @ (XD - graph.weights @ X)  # X^T (D - W) X
+    A = X.T @ (XD - W @ X)  # X^T (D - W) X
     B = X.T @ XD
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)

@@ -96,7 +96,7 @@ def _check_classes(space: SemanticSpace, classes) -> None:
 def _visual_stage(features, labels, split, cfg: EvalConfig):
     """Holdout, train/test indices and the hyperparameters clipped to the
     training set: (partition, clipped cfg). The SLPP fit on partition.train
-    (_slpp) completes the visual stage."""
+    completes the visual stage."""
     if cfg.gzsl:
         seed = split_seeds(cfg.seed, split.split_index)["holdout"]
         part = data_io.gzsl_holdout(labels, split, cfg.holdout_fraction, seed)
@@ -114,13 +114,6 @@ def _visual_stage(features, labels, split, cfg: EvalConfig):
             unseen_test=np.flatnonzero(np.isin(labels, list(split.unseen))),
         )
     return part, _clip_hyperparameters(cfg, part.train.size, features.shape[1])
-
-
-def _slpp(features, labels, part, cfg: EvalConfig) -> embedding.LatentModel:
-    return embedding.slpp_fit(
-        features[part.train], labels[part.train], d_latent=cfg.d_latent,
-        n_neighbors=cfg.n_neighbors, width_scale=cfg.width_scale,
-    )
 
 
 def _latent_stage(features, labels, space, dist_sem, split, cfg, part, model):
@@ -188,7 +181,10 @@ def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfi
     dist_sem = embedding.semantic_distance_matrix(space)
     labels = np.asarray(labels)
     part, cfg = _visual_stage(features, labels, split, cfg)
-    model = _slpp(features, labels, part, cfg)
+    model = embedding.slpp_fit(
+        features[part.train], labels[part.train], d_latent=cfg.d_latent,
+        n_neighbors=cfg.n_neighbors, width_scale=cfg.width_scale,
+    )
     problem, points = _latent_stage(features, labels, space, dist_sem, split, cfg, part, model)
     unseen_emb, _ = embedding.lsm_embed(**problem, max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol)
     return _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb)
@@ -198,63 +194,56 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     """Class-wise cross-validation over the configured grid on the split's
     seen classes.
 
-    The folds are drawn from the split's "cv" seed, and each fold is scored
-    in the conventional setting with that seed as master, so every
-    combination meets the same folds and the same LSM starts. The grid is
-    scanned in its declared order; the first combination attaining the best
-    mean conventional accuracy over the folds wins.
+    The grid may vary d_latent, n_neighbors and width_scale (the keys of
+    DEFAULT_CV_GRID); any other key is a ValueError. The folds are drawn
+    from the split's "cv" seed, and each fold is scored in the conventional
+    setting with that seed as master, so every combination meets the same
+    folds and the same LSM starts. The grid is scanned in its declared
+    order; the first combination attaining the best mean conventional
+    accuracy over the folds wins.
 
-    Each fold is scored as evaluate_split scores it, with two savings. SLPP
-    is fitted once per fold and (clipped) n_neighbors, width_scale, at the
-    largest clipped d_latent of the grid, and every d_latent takes its
-    leading directions, which equal a fit at that d_latent bit for bit; the
-    fits live for this call only. And every (grid point, fold) placement is
-    built first, and all are placed by lsm_embed_many, which descends the
-    restarts of all placements of one shape as one stack; the grid's LSM
-    budget (lsm_max_iter, lsm_tol) takes one call per value.
+    Each fold is scored as evaluate_split scores it, with two savings. One
+    slpp_fit_many call per fold fits its distinct (clipped) n_neighbors,
+    width_scale at the grid's largest clipped d_latent, and every d_latent
+    takes its leading directions, which equal a fit at that d_latent bit
+    for bit. And every (grid point, fold) placement is built first, and
+    one lsm_embed_many call places them all, descending the restarts of
+    all placements of one shape as one stack.
     """
+    unknown = sorted(set(cfg.cv_grid) - set(DEFAULT_CV_GRID))
+    if unknown:
+        raise ValueError(f"cv_grid may vary only {sorted(DEFAULT_CV_GRID)}, not {unknown}")
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
     _check_classes(space, split.seen)
     dist_sem = embedding.semantic_distance_matrix(space)
     labels = np.asarray(labels)
     fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
-    d_max = max(cfg.cv_grid.get("d_latent", ()), default=cfg.d_latent)
-    fits = {}  # (fold, n_neighbors, width_scale) -> SLPP fit at the largest d_latent
     grid = [dict(zip(cfg.cv_grid, combo)) for combo in itertools.product(*cfg.cv_grid.values())]
-    jobs = []  # (fold, clipped config, partition, problem, points) per grid point and fold
-    for chosen in grid:
-        for fold in folds:
-            part, trial = _visual_stage(features, labels, fold, replace(fold_cfg, **chosen))
-            key = (fold.split_index, trial.n_neighbors, trial.width_scale)
-            if key not in fits:
-                top = _clip_hyperparameters(
-                    replace(trial, d_latent=d_max), part.train.size, features.shape[1]
-                )
-                fits[key] = _slpp(features, labels, part, top)
-            model = embedding.leading_directions(fits[key], trial.d_latent)
-            jobs.append((fold, trial, part, *_latent_stage(
+    jobs = [[] for _ in grid]  # per grid point and fold: (fold, trial, part, problem, points)
+    for fold in folds:
+        stages = [_visual_stage(features, labels, fold, replace(fold_cfg, **c)) for c in grid]
+        train = stages[0][0].train  # without a holdout, the grid point does not change it
+        keys = [(trial.n_neighbors, trial.width_scale) for _, trial in stages]
+        graphs = list(dict.fromkeys(keys))
+        fits = embedding.slpp_fit_many(features[train], labels[train], graphs=graphs,
+                                       d_latent=max(trial.d_latent for _, trial in stages))
+        for row, (part, trial), key in zip(jobs, stages, keys):
+            model = embedding.leading_directions(fits[graphs.index(key)], trial.d_latent)
+            row.append((fold, trial, part, *_latent_stage(
                 features, labels, space, dist_sem, fold, trial, part, model
             )))
-    del fits  # the jobs hold what scoring needs
-
-    embedded = [None] * len(jobs)
-    budgets = {}
-    for k, (_, trial, *_) in enumerate(jobs):
-        budgets.setdefault((trial.lsm_max_iter, trial.lsm_tol), []).append(k)
-    for (max_iter, tol), ks in budgets.items():
-        placed = embedding.lsm_embed_many(
-            [jobs[k][3] for k in ks], max_iter=max_iter, tol=tol
-        )
-        for k, (unseen_emb, _) in zip(ks, placed):
-            embedded[k] = unseen_emb
+    jobs = [job for row in jobs for job in row]
+    placed = embedding.lsm_embed_many(
+        [job[3] for job in jobs], max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol
+    )
 
     best = None
     for g, chosen in enumerate(grid):
         scores = []
         for k in range(g * len(folds), (g + 1) * len(folds)):
             fold, trial, part, problem, points = jobs[k]
-            metrics = _scoring_stage(labels, fold, trial, part, problem, points, embedded[k])
+            metrics = _scoring_stage(labels, fold, trial, part, problem, points, placed[k][0])
             scores.append(metrics["inductive"]["A_UU"])
         mean = float(np.mean(scores))
         if best is None or mean > best[0]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zslkit import cli, data_io, synth
+from zslkit import cli, data_io, embedding, synth
 from zslkit.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -302,7 +302,25 @@ class TestEvaluateCommand:
         echo = json.loads((tmp_path / "from_config" / "evaluate_config.json").read_text())
         assert echo["config"]["seed"] == 12  # flag wins over config file
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @staticmethod
+    def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0):
+        """main_error of an evaluate on a small synthetic dataset whose
+        features are multiplied by scale."""
+        spec = synth.SynthSpec(
+            n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
+            examples_per_class=per_class, images_per_class=6, n_splits=2,
+        )
+        manifest = synth.make_synthetic(spec, 5, tmp_path / "data")
+        features = tmp_path / "data" / "features.zmat"
+        data_io.save_matrix(data_io.load_matrix(features) * scale, features)
+        return main_error(
+            capsys, "evaluate",
+            "--manifest", manifest,
+            "--space", tmp_path / "data" / "space.json",
+            "--splits", tmp_path / "data" / "splits.json",
+            "--d-latent", 3, "--neighbors", 5, "--out", tmp_path / "eval",
+        )
+
     @pytest.mark.parametrize(
         "per_class,scale,named",
         [
@@ -312,23 +330,22 @@ class TestEvaluateCommand:
         ids=["features-overflow", "holdout-leaves-one-example"],
     )
     def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, named):
-        spec = synth.SynthSpec(
-            n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
-            examples_per_class=per_class, images_per_class=6, n_splits=2,
-        )
-        manifest = synth.make_synthetic(spec, 5, tmp_path / "data")
-        features = tmp_path / "data" / "features.zmat"
-        data_io.save_matrix(data_io.load_matrix(features) * scale, features)
-        code, err = main_error(
-            capsys, "evaluate",
-            "--manifest", manifest,
-            "--space", tmp_path / "data" / "space.json",
-            "--splits", tmp_path / "data" / "splits.json",
-            "--d-latent", 3, "--neighbors", 5, "--out", tmp_path / "eval",
-        )
+        code, err = self.evaluate_error(tmp_path, capsys, per_class, scale)
         assert code == 3
         assert err["error"] == "DataError"
         assert named in err["message"]
+
+    def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # numpy's message names the array that could not be allocated
+        message = "Unable to allocate 107. MiB for an array with shape (3750, 3750)"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(embedding, "_pairwise_sq_dists", out_of_memory)
+        code, err = self.evaluate_error(tmp_path, capsys)
+        assert code == 4
+        assert err == {"error": "MemoryError", "message": message}
 
 
 class TestSweepCommand:

@@ -422,6 +422,62 @@ class TestSlpp:
         with pytest.raises(NumericalError):
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
 
+    @pytest.mark.parametrize("width", [None, 1.0])
+    def test_overflowing_features_are_data_error(self, width):
+        # with an explicit width every heat-kernel weight would underflow to
+        # 0 and the constraint matrix be singular; the squared norms stop it
+        # before any distance is formed
+        X, labels = make_blobs(np.random.default_rng(8))
+        with pytest.raises(DataError, match="features overflow"):
+            slpp_fit(X * 1e160, labels, d_latent=2, n_neighbors=3, width=width)
+
+
+class TestSlppFitMany:
+    GRAPHS = [(k, s) for k in (1, 3, 6) for s in (0.5, 1.0, 2.0)]
+
+    @pytest.mark.parametrize("width", [None, 0.7])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_each_model_is_its_own_slpp_fit(self, offset, width):
+        # tie-rich grid points, a fifth of them duplicated, with the graph
+        # settings repeated out of order
+        rng = np.random.default_rng(17)
+        X = grid_points(rng, 90, 4, offset)
+        labels = rng.integers(0, 3, size=90)
+        graphs = self.GRAPHS + self.GRAPHS[::-2]
+        many = embedding.slpp_fit_many(X, labels, d_latent=3, graphs=graphs, width=width)
+        assert len(many) == len(graphs)
+        for (k, s), model in zip(graphs, many):
+            one = slpp_fit(X, labels, d_latent=3, n_neighbors=k, width_scale=s, width=width)
+            assert model.d_latent == one.d_latent == 3
+            assert model.projection.tobytes("A") == one.projection.tobytes("A")
+            assert model.eigenvalues.tobytes() == one.eigenvalues.tobytes()
+
+    def test_memory_at_n1000(self):
+        # the (n, n) float64 matrix is 8 MB. The distances are freed before
+        # the weights are built, so the weights and their symmetrized copy
+        # are the only two n x n arrays alive at once; a fit that kept the
+        # previous graph's weights, or the distances beside the weights,
+        # would hold three
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(1000, 64))
+        labels = np.repeat(np.arange(10), 100)
+        matrix = 1000 * 1000 * 8
+
+        def peak(fit):
+            tracemalloc.start()
+            try:
+                fit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: slpp_fit(X, labels, d_latent=10, n_neighbors=10))
+        graphs = [(k, s) for k in (5, 10) for s in (0.5, 1.0, 2.0)]
+        many = peak(lambda: embedding.slpp_fit_many(X, labels, d_latent=10, graphs=graphs))
+        assert one <= 2.2 * matrix
+        # the other graphs' kNN pairs are O(n k), not O(n^2)
+        assert many <= one + 0.05 * matrix
+
 
 class TestGeneralizedEigh:
     """The numpy.linalg reduction against scipy.linalg.eigh(A, B), kept here

@@ -153,14 +153,17 @@ class TestCrossValidation:
         )
         assert chosen == again
 
-    def test_cv_grid_may_vary_the_lsm_budget(self, planted, monkeypatch):
-        # the CV placements are stacked, one lsm_embed_many call per budget
+    def test_cv_grid_varies_only_the_documented_keys(self, planted, monkeypatch):
         ds, space, splits = planted
         cfg = pipeline.EvalConfig(
             seed=2, cv=True, cv_n_folds=2,
             cv_grid={"d_latent": (2,), "lsm_max_iter": (10, 30)},
-            transductive=False, gzsl=False, lsm_restarts=1,
+            transductive=False, gzsl=False, lsm_restarts=1, lsm_max_iter=20,
         )
+        with pytest.raises(ValueError, match="lsm_max_iter"):
+            pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
+
+        # every (grid point, fold) placement is placed by one stacked call
         lsm_embed_many, calls = embedding.lsm_embed_many, []
 
         def recording(problems, *, max_iter, tol):
@@ -168,8 +171,9 @@ class TestCrossValidation:
             return lsm_embed_many(problems, max_iter=max_iter, tol=tol)
 
         monkeypatch.setattr(embedding, "lsm_embed_many", recording)
+        cfg.cv_grid = {"d_latent": (2, 3), "n_neighbors": (5,), "width_scale": (1.0, 2.0)}
         pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
-        assert calls == [(10, 2), (30, 2)]
+        assert calls == [(20, 2 * 2 * 2)]
 
     def test_cv_run_records_selection(self, planted):
         ds, space, splits = planted
@@ -232,21 +236,22 @@ class TestCrossValidation:
     def test_one_slpp_fit_per_fold_and_graph_setting(self, planted, monkeypatch):
         ds, space, splits = planted
         cfg = self.wide_cfg()
-        slpp_fit, calls = embedding.slpp_fit, []
+        slpp_fit_many, calls = embedding.slpp_fit_many, []
 
-        def recording(X, labels, *, d_latent, n_neighbors, width_scale, **kw):
+        def recording(X, labels, *, d_latent, graphs, **kw):
             classes = tuple(np.unique(labels).tolist())  # names the fold
-            calls.append((classes, X.shape[0], d_latent, n_neighbors, width_scale))
-            return slpp_fit(X, labels, d_latent=d_latent, n_neighbors=n_neighbors,
-                            width_scale=width_scale, **kw)
+            calls.append((classes, X.shape[0], d_latent, graphs))
+            return slpp_fit_many(X, labels, d_latent=d_latent, graphs=graphs, **kw)
 
-        monkeypatch.setattr(embedding, "slpp_fit", recording)
+        monkeypatch.setattr(embedding, "slpp_fit_many", recording)
         pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
-        # 2 folds x 2 clipped n_neighbors x 2 width_scale, each at the
-        # largest clipped d_latent
-        assert len(calls) == 2 * 2 * 2
-        assert len(set(calls)) == len(calls)
-        assert {(n, d, k) for _, n, d, k, _ in calls} == {(30, 12, 5), (30, 12, 29)}
+        # one call per fold, at the largest clipped d_latent, over the fold's
+        # distinct clipped (n_neighbors, width_scale) in grid order
+        assert len(calls) == 2
+        assert len({classes for classes, *_ in calls}) == 2
+        for _, n, d, graphs in calls:
+            assert (n, d) == (30, 12)
+            assert graphs == [(5, 1.0), (5, 2.0), (29, 1.0), (29, 2.0)]
 
     def test_selection_matches_evaluate_split_per_fold(self, planted, monkeypatch):
         ds, space, splits = planted
