@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--neighbors", type=int, help="graph neighbour count")
         p.add_argument("--width-scale", dest="width_scale", type=float,
                        help="kernel width as a multiple of the median distance")
-        p.add_argument("--workers", type=int,
-                       help="accepted and ignored; splits run serially")
         defaults = pipeline.EvalConfig()
         p.set_defaults(**{dest: getattr(defaults, f) for dest, f in EVAL_FIELDS.items()})
 

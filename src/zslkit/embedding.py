@@ -479,12 +479,13 @@ def _slpp_solve(X, W, d_latent: int) -> LatentModel:
     """slpp_fit's eigenproblem and column selection on the graph weights W."""
     d = X.shape[1]
     row_sums = W.sum(axis=1)
-    XD = X * row_sums[:, None]
-    A = X.T @ (XD - W @ X)  # X^T (D - W) X
-    B = X.T @ XD
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
-    B[np.diag_indices(d)] += _SLPP_REG * np.trace(B) / d
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A or B is rejected below
+        XD = X * row_sums[:, None]
+        A = X.T @ (XD - W @ X)  # X^T (D - W) X
+        B = X.T @ XD
+        A = 0.5 * (A + A.T)
+        B = 0.5 * (B + B.T)
+        B[np.diag_indices(d)] += _SLPP_REG * np.trace(B) / d
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError(
             "features overflow: the SLPP matrices X^T L X and X^T D X are not "

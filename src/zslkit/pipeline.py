@@ -5,8 +5,9 @@ requested, fit the supervised projection on the training examples, average
 per-class landmarks, place unseen classes by landmark Sammon mapping
 against the semantic distances, then score every requested setting.
 
-Splits run one after another, in split order, on the calling thread; each
-split derives its own seeds from the master seed and the split index.
+Every split, and every cross-validation fold, is scored by one batched
+path (_evaluate_many) on the calling thread; each split derives its own
+seeds from the master seed and the split index.
 """
 
 from __future__ import annotations
@@ -171,23 +172,55 @@ def _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb) -> dic
     return out
 
 
+def _evaluate_many(features, labels, space: SemanticSpace, jobs) -> list:
+    """evaluate_split of every (split, cfg) of jobs, in job order.
+
+    Every job's classes are checked and its visual stage run before any fit.
+    Jobs whose clipped training sets are equal share one slpp_fit_many call
+    over their distinct (n_neighbors, width_scale) at their largest d_latent,
+    and each takes its leading directions (bit for bit a fit at its own
+    d_latent). One lsm_embed_many call places every job, at the first job's
+    lsm_max_iter and lsm_tol, which all jobs share.
+    """
+    if not jobs:
+        return []
+    labels = np.asarray(labels)
+    for split, _ in jobs:
+        _check_classes(space, [*split.seen, *split.unseen])
+    dist_sem = embedding.semantic_distance_matrix(space)
+    stages = [_visual_stage(features, labels, split, cfg) for split, cfg in jobs]
+    by_train = {}  # clipped training set -> its jobs
+    for k, (part, _) in enumerate(stages):
+        by_train.setdefault(part.train.tobytes(), []).append(k)
+    latent = [None] * len(jobs)  # per job: _latent_stage's (problem, points)
+    for members in by_train.values():
+        trials = [stages[k][1] for k in members]
+        graphs = list(dict.fromkeys((t.n_neighbors, t.width_scale) for t in trials))
+        train = stages[members[0]][0].train
+        fits = embedding.slpp_fit_many(features[train], labels[train], graphs=graphs,
+                                       d_latent=max(t.d_latent for t in trials))
+        for k, trial in zip(members, trials):
+            fit = fits[graphs.index((trial.n_neighbors, trial.width_scale))]
+            model = embedding.leading_directions(fit, trial.d_latent)
+            latent[k] = _latent_stage(features, labels, space, dist_sem, jobs[k][0], trial,
+                                      stages[k][0], model)
+    budget = jobs[0][1]
+    placed = embedding.lsm_embed_many([problem for problem, _ in latent],
+                                      max_iter=budget.lsm_max_iter, tol=budget.lsm_tol)
+    return [
+        _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb)
+        for (split, _), (part, cfg), (problem, points), (unseen_emb, _)
+        in zip(jobs, stages, latent, placed)
+    ]
+
+
 def evaluate_split(features, labels, space: SemanticSpace, split, cfg: EvalConfig) -> dict:
     """All requested metrics for one seen/unseen split.
 
     Returns {"inductive": {...}, "transductive": {...}} with metric keys
     A_UU (conventional) and A_UT/A_ST/H (generalised) as requested.
     """
-    _check_classes(space, [*split.seen, *split.unseen])
-    dist_sem = embedding.semantic_distance_matrix(space)
-    labels = np.asarray(labels)
-    part, cfg = _visual_stage(features, labels, split, cfg)
-    model = embedding.slpp_fit(
-        features[part.train], labels[part.train], d_latent=cfg.d_latent,
-        n_neighbors=cfg.n_neighbors, width_scale=cfg.width_scale,
-    )
-    problem, points = _latent_stage(features, labels, space, dist_sem, split, cfg, part, model)
-    unseen_emb, _ = embedding.lsm_embed(**problem, max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol)
-    return _scoring_stage(labels, split, cfg, part, problem, points, unseen_emb)
+    return _evaluate_many(features, labels, space, [(split, cfg)])[0]
 
 
 def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> dict:
@@ -202,53 +235,20 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     order; the first combination attaining the best mean conventional
     accuracy over the folds wins.
 
-    Each fold is scored as evaluate_split scores it, with two savings. One
-    slpp_fit_many call per fold fits its distinct (clipped) n_neighbors,
-    width_scale at the grid's largest clipped d_latent, and every d_latent
-    takes its leading directions, which equal a fit at that d_latent bit
-    for bit. And every (grid point, fold) placement is built first, and
-    one lsm_embed_many call places them all, descending the restarts of
-    all placements of one shape as one stack.
+    One _evaluate_many call scores every (grid point, fold), so each fold's
+    grid points share one SLPP fit and all placements descend together.
     """
     unknown = sorted(set(cfg.cv_grid) - set(DEFAULT_CV_GRID))
     if unknown:
         raise ValueError(f"cv_grid may vary only {sorted(DEFAULT_CV_GRID)}, not {unknown}")
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
-    _check_classes(space, split.seen)
-    dist_sem = embedding.semantic_distance_matrix(space)
-    labels = np.asarray(labels)
     fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
     grid = [dict(zip(cfg.cv_grid, combo)) for combo in itertools.product(*cfg.cv_grid.values())]
-    jobs = [[] for _ in grid]  # per grid point and fold: (fold, trial, part, problem, points)
-    for fold in folds:
-        stages = [_visual_stage(features, labels, fold, replace(fold_cfg, **c)) for c in grid]
-        train = stages[0][0].train  # without a holdout, the grid point does not change it
-        keys = [(trial.n_neighbors, trial.width_scale) for _, trial in stages]
-        graphs = list(dict.fromkeys(keys))
-        fits = embedding.slpp_fit_many(features[train], labels[train], graphs=graphs,
-                                       d_latent=max(trial.d_latent for _, trial in stages))
-        for row, (part, trial), key in zip(jobs, stages, keys):
-            model = embedding.leading_directions(fits[graphs.index(key)], trial.d_latent)
-            row.append((fold, trial, part, *_latent_stage(
-                features, labels, space, dist_sem, fold, trial, part, model
-            )))
-    jobs = [job for row in jobs for job in row]
-    placed = embedding.lsm_embed_many(
-        [job[3] for job in jobs], max_iter=cfg.lsm_max_iter, tol=cfg.lsm_tol
-    )
-
-    best = None
-    for g, chosen in enumerate(grid):
-        scores = []
-        for k in range(g * len(folds), (g + 1) * len(folds)):
-            fold, trial, part, problem, points = jobs[k]
-            metrics = _scoring_stage(labels, fold, trial, part, problem, points, placed[k][0])
-            scores.append(metrics["inductive"]["A_UU"])
-        mean = float(np.mean(scores))
-        if best is None or mean > best[0]:
-            best = (mean, chosen)
-    return best[1]
+    jobs = [(fold, replace(fold_cfg, **chosen)) for chosen in grid for fold in folds]
+    scores = [m["inductive"]["A_UU"] for m in _evaluate_many(features, labels, space, jobs)]
+    means = [float(np.mean(scores[i:i + len(folds)])) for i in range(0, len(scores), len(folds))]
+    return grid[means.index(max(means))]
 
 
 def run_evaluation(
@@ -264,24 +264,23 @@ def run_evaluation(
     """Evaluate every split and aggregate into one report per setting.
 
     With cfg.cv enabled, hyperparameters are re-selected per split by
-    class-wise cross-validation on that split's seen classes before the
-    split is scored. Splits run serially; workers is accepted and ignored.
+    class-wise cross-validation on that split's seen classes; then every
+    split is scored by one _evaluate_many call. workers is accepted and
+    ignored: the benchmark harness (bench/workloads.py) still passes it.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
 
-    results = []
-    for split in splits:
-        split_cfg = cfg
-        chosen = None
-        if cfg.cv:
-            chosen = select_hyperparameters(features, labels, space, split, cfg)
-            split_cfg = replace(cfg, **chosen)
-        metrics = evaluate_split(features, labels, space, split, split_cfg)
-        if chosen:
+    chosen = [
+        select_hyperparameters(features, labels, space, split, cfg) if cfg.cv else {}
+        for split in splits
+    ]
+    jobs = [(split, replace(cfg, **c)) for split, c in zip(splits, chosen)]
+    results = _evaluate_many(features, labels, space, jobs)
+    for metrics, c in zip(results, chosen):
+        if c:
             for setting in metrics:
-                metrics[setting]["cv_selected"] = chosen
-        results.append(metrics)
+                metrics[setting]["cv_selected"] = c
 
     config_echo = cfg.echo()
     seeds = {

@@ -74,13 +74,11 @@ class TestParser:
                    "--normalize", "--out", "--seed", "--stopwords"},
         "evaluate": {"--config", "--cv", "--d-latent", "--manifest", "--n-seen",
                      "--n-splits", "--neighbors", "--out", "--seed", "--settings",
-                     "--space", "--splits", "--transductive", "--width-scale",
-                     "--workers"},
+                     "--space", "--splits", "--transductive", "--width-scale"},
         "sweep": {"--axis", "--config", "--d-latent", "--embeddings", "--k",
                   "--manifest", "--method", "--n-seen", "--n-splits", "--neighbors",
                   "--normalize", "--out", "--seed", "--settings", "--splits",
-                  "--stopwords", "--transductive", "--values", "--width-scale",
-                  "--workers"},
+                  "--stopwords", "--transductive", "--values", "--width-scale"},
         "synth": {"--config", "--out", "--seed", "--spec"},
         "report": {"--config", "--inputs", "--out", "--seed"},
     }
@@ -264,11 +262,12 @@ class TestEvaluateCommand:
         inductive = json.loads((tmp_path / "report_inductive.json").read_text())
         assert set(inductive["mean"]) == {"A_UU"}
 
-    def test_byte_identical_across_worker_counts(self, synth_dir, tmp_path):
+    def test_byte_identical_across_blas_thread_counts(self, synth_dir, tmp_path):
+        # two threads are enough for OpenBLAS to split a product; start no more
         r1 = self.evaluate(synth_dir, tmp_path / "w1", "--transductive",
-                           env_extra={"ZSLKIT_THREADS": "1"})
+                           env_extra={"OPENBLAS_NUM_THREADS": "1"})
         r2 = self.evaluate(synth_dir, tmp_path / "w2", "--transductive",
-                           env_extra={"ZSLKIT_THREADS": "4"})
+                           env_extra={"OPENBLAS_NUM_THREADS": "2"})
         assert r1.returncode == r2.returncode == 0
         assert read_tree(tmp_path / "w1") == read_tree(tmp_path / "w2")
 
@@ -325,9 +324,10 @@ class TestEvaluateCommand:
         "per_class,scale,named",
         [
             (15, 1e160, "features overflow"),
+            (15, 1e153, "features overflow"),
             (2, 1.0, "GZSL holdout"),
         ],
-        ids=["features-overflow", "holdout-leaves-one-example"],
+        ids=["features-overflow", "matrices-overflow", "holdout-leaves-one-example"],
     )
     def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, named):
         code, err = self.evaluate_error(tmp_path, capsys, per_class, scale)

@@ -422,14 +422,20 @@ class TestSlpp:
         with pytest.raises(NumericalError):
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
 
-    @pytest.mark.parametrize("width", [None, 1.0])
-    def test_overflowing_features_are_data_error(self, width):
-        # with an explicit width every heat-kernel weight would underflow to
-        # 0 and the constraint matrix be singular; the squared norms stop it
-        # before any distance is formed
-        X, labels = make_blobs(np.random.default_rng(8))
+    @pytest.mark.parametrize("blobs,scale,width", [
+        pytest.param({}, 1e160, None, id="None"),
+        pytest.param({}, 1e160, 1.0, id="1.0"),
+        pytest.param(dict(d=8, spread=1.0, sep=0.0), 5e152, None, id="matrices-overflow"),
+    ])
+    def test_overflowing_features_are_data_error(self, blobs, scale, width):
+        # at 1e160 the squared norms stop the fit before any distance is
+        # formed (with an explicit width every heat-kernel weight would
+        # underflow to 0 and the constraint matrix be singular); unit-normal
+        # points at 5e152 pass that check, but X^T D X overflows, and the
+        # DataError comes without a RuntimeWarning
+        X, labels = make_blobs(np.random.default_rng(8), **blobs)
         with pytest.raises(DataError, match="features overflow"):
-            slpp_fit(X * 1e160, labels, d_latent=2, n_neighbors=3, width=width)
+            slpp_fit(X * scale, labels, d_latent=2, n_neighbors=3, width=width)
 
 
 class TestSlppFitMany:

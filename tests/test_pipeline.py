@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from zslkit import data_io, embedding, pipeline, synth, zsl_eval
+from zslkit.encoders import SemanticSpace
+from zslkit.errors import DataError
 
 
 @pytest.fixture(scope="module")
@@ -83,20 +85,59 @@ class TestRunEvaluation:
             assert a[setting].splits == b[setting].splits
 
     def test_splits_run_serially_on_calling_thread(self, planted, monkeypatch):
+        # one SLPP fit per split, in split order, then one stacked placement
+        # of every split, in split order, all on the calling thread
         ds, space, splits = planted
         cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, transductive=False, seed=1)
-        evaluate = pipeline.evaluate_split
+        slpp_fit_many, lsm_embed_many = embedding.slpp_fit_many, embedding.lsm_embed_many
         calls = []
 
-        def recording(features, labels, space, split, cfg):
-            calls.append((split.split_index, threading.get_ident()))
-            return evaluate(features, labels, space, split, cfg)
+        def recording_slpp(X, labels, **kwargs):
+            calls.append(("slpp", tuple(np.unique(labels).tolist()), threading.get_ident()))
+            return slpp_fit_many(X, labels, **kwargs)
 
-        monkeypatch.setattr(pipeline, "evaluate_split", recording)
-        pipeline.run_evaluation(ds.name, ds.features, ds.labels, space, splits[:2],
+        def recording_lsm(problems, **kwargs):
+            placed = [(tuple(p["unseen_ids"]), p["seed"]) for p in problems]
+            calls.append(("lsm", placed, threading.get_ident()))
+            return lsm_embed_many(problems, **kwargs)
+
+        monkeypatch.setattr(embedding, "slpp_fit_many", recording_slpp)
+        monkeypatch.setattr(embedding, "lsm_embed_many", recording_lsm)
+        pipeline.run_evaluation(ds.name, ds.features, ds.labels, space, splits,
                                 cfg, method="m", workers=4)
         me = threading.get_ident()
-        assert calls == [(s.split_index, me) for s in splits[:2]]
+        placed = [(tuple(sorted(s.unseen)), pipeline.split_seeds(cfg.seed, s.split_index)["lsm"])
+                  for s in splits]
+        assert calls == [("slpp", tuple(sorted(s.seen)), me) for s in splits] + [
+            ("lsm", placed, me)
+        ]
+
+    def test_split_metrics_equal_evaluate_split(self, planted):
+        ds, space, splits = planted
+        cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, transductive=True, seed=9)
+        reports = pipeline.run_evaluation(
+            ds.name, ds.features, ds.labels, space, splits, cfg, method="m"
+        )
+        for i, split in enumerate(splits):
+            alone = pipeline.evaluate_split(ds.features, ds.labels, space, split, cfg)
+            for setting in ("inductive", "transductive"):
+                assert reports[setting].splits[i] == alone[setting]
+
+    def test_every_split_is_checked_before_any_fit(self, planted, monkeypatch):
+        # the space lacks an unseen class of the last split only
+        ds, space, splits = planted
+        missing = splits[-1].unseen[0]
+        keep = [i for i, c in enumerate(space.class_ids) if c != missing]
+        space = SemanticSpace([space.class_ids[i] for i in keep], space.reps[keep], space.metric)
+        first = replace(splits[0], seen=tuple(c for c in splits[0].seen if c != missing),
+                        unseen=tuple(c for c in splits[0].unseen if c != missing))
+        calls = []
+        monkeypatch.setattr(embedding, "slpp_fit_many", lambda *a, **k: calls.append(a))
+        cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, seed=0)
+        with pytest.raises(DataError, match=f"lacks classes \\[{missing}\\]"):
+            pipeline.run_evaluation(ds.name, ds.features, ds.labels, space,
+                                    [first, splits[-1]], cfg, method="m")
+        assert calls == []
 
     def test_seeds_echo_lists_every_derived_seed(self, planted, monkeypatch):
         ds, space, splits = planted
@@ -201,8 +242,8 @@ class TestCrossValidation:
             fold_seeds.append(seed)
             return cv_folds(seen, n_folds, seed)
 
-        # every placement, the CV's stacked ones and the split's own through
-        # lsm_embed, goes through lsm_embed_many in order
+        # every placement goes through lsm_embed_many: each split's CV
+        # placements, then every split's own
         def recording_lsm(problems, **kwargs):
             lsm_seeds.extend(problem["seed"] for problem in problems)
             return lsm_embed_many(problems, **kwargs)
@@ -216,11 +257,12 @@ class TestCrossValidation:
         echoed = [per_split[str(s.split_index)] for s in splits[:2]]
         assert fold_seeds == [e["cv"] for e in echoed]
         assert echoed[0]["cv"] != echoed[1]["cv"]
-        # per split: each grid combination's folds, in fold order, then the split itself
+        # per split: each grid combination's folds, in fold order; then the splits
         expected = []
         for e in echoed:
             folds = [pipeline.split_seeds(e["cv"], f)["lsm"] for f in range(cfg.cv_n_folds)]
-            expected += folds * len(cfg.cv_grid["d_latent"]) + [e["lsm"]]
+            expected += folds * len(cfg.cv_grid["d_latent"])
+        expected += [e["lsm"] for e in echoed]
         assert lsm_seeds == expected
 
     # n_neighbors 40 and 50 both clip to 29 on a fold's 30 training points,
