@@ -280,8 +280,11 @@ def load_splits(path) -> list:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"cannot read splits file {path}: {e}") from e
     for s in splits:
+        for name, ids in (("seen", s.seen), ("unseen", s.unseen)):
+            if not ids:
+                raise DataError(f"splits file {path}: split {s.split_index} has no {name} classes")
         if set(s.seen) & set(s.unseen):
-            raise DataError(f"split {s.split_index} has overlapping seen/unseen sets")
+            raise DataError(f"splits file {path}: split {s.split_index} has overlapping class sets")
     return splits
 
 
@@ -333,11 +336,12 @@ def cv_folds(seen_classes, n_folds: int, seed: int) -> list:
     """Partition the seen classes into balanced disjoint held-out groups.
 
     Fold i is a ClassSplit with split_index i: the held-out group is its
-    unseen set and the remaining classes are its seen set.
+    unseen set and the remaining classes are its seen set. Both must be
+    non-empty, so n_folds runs from 2 to the number of classes.
     """
     classes = sorted(int(c) for c in seen_classes)
-    if n_folds < 1 or n_folds > len(classes):
-        raise ValueError(f"n_folds must be in [1, {len(classes)}], got {n_folds}")
+    if n_folds < 2 or n_folds > len(classes):
+        raise ValueError(f"n_folds must be in [2, {len(classes)}], got {n_folds}")
     rng = np.random.default_rng(seed)
     shuffled = [classes[i] for i in rng.permutation(len(classes))]
     base, extra = divmod(len(classes), n_folds)

@@ -675,20 +675,22 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     start of the placements in group, which share one shape, as one stack.
 
     A start's trial step that would increase its stress is rejected and its
-    step halved; one that does not is accepted, its step doubled (up to
-    1e12) and its gradient recomputed. A start stops when its step falls
-    below _MIN_STEP, after max_iter accepted steps, at stress 0, or when an
-    accepted step lowers its stress by at most tol times the new stress.
+    step halved; one that does not is accepted and its step doubled (up to
+    1e12). A start stops when its step falls below _MIN_STEP, after
+    max_iter accepted steps, at stress 0, or when an accepted step lowers
+    its stress by at most tol times the new stress.
 
-    Each round evaluates, for every start still searching, its next
-    _TRIALS trials: its step and the halved retries it makes while they are
-    rejected. So a step and the rejections before it take one round, not
-    one round per trial; trials after the one a start accepts are
-    discarded. The stack computes each trial alone (one gemm per item,
-    per-row sums of C-ordered arrays), and each start keeps its own step,
-    stress trace, accept rule and stop rule as Python floats, so every
-    start follows, bit for bit, the trajectory it would follow by itself.
-    Starts that stop leave the stack.
+    Each round recomputes the gradient of every start still searching and
+    evaluates its next _TRIALS trials: its step and the halved retries it
+    makes while they are rejected. So a step and the rejections before it
+    take one round, not one round per trial; trials after the one a start
+    accepts are discarded. The stack computes each item alone (one gemm per
+    item, per-row sums of C-ordered arrays), and each start keeps its own
+    step, stress trace, accept rule and stop rule as Python floats, so every
+    start follows, bit for bit, the trajectory it would follow by itself. A
+    start that took no trial keeps its iterate and distances, so its
+    gradient is recomputed from the same bits. Starts that stop leave the
+    stack.
 
     Returns (Y, traces): each start's final iterate, stacked, and its
     stress after the start and each accepted step, in the order of the
@@ -701,13 +703,8 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     B = owner.size
 
     def per_start(values):
-        # one placement's targets broadcast over its starts
-        stacked = np.stack(values)
-        return stacked if len(group) == 1 else stacked[owner]
-
-    def per_trial(a):
-        # a start's trials share its targets
-        return a if len(a) == 1 else np.repeat(a, _TRIALS, axis=0)
+        # one placement's targets repeated for each of its starts
+        return np.stack(values)[owner]
 
     # the stress sums (delta - d)^2 / delta over the seen-unseen pairs and
     # then over the upper triangle of the unseen-unseen pairs, each in
@@ -719,27 +716,28 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     landmarks = per_start([p.landmarks for p in group])
     delta_us = per_start([p.delta_us for p in group])
     delta_uu = per_start([p.delta_uu for p in group])
-    row_targets = np.concatenate([delta_us, delta_uu], axis=2)  # (., u, m)
+    row_targets = np.concatenate([delta_us, delta_uu], axis=2)  # (B, u, m)
     sum_delta = per_start([p.sum_delta for p in group])
-    stress_targets = (
-        per_trial(row_targets.reshape(len(row_targets), -1).take(pairs, axis=1)),
-        per_trial(sum_delta),
-    )
     # the gradient's coefficients (delta - d) / (delta * max(d, 1e-12)) over
     # a whole row, with delta floored at 1e-12 among the unseen classes;
     # delta_uu's zero diagonal makes each class's own coefficient 0
     floors = np.concatenate([delta_us, np.maximum(delta_uu, 1e-12)], axis=2)
-    grad_targets = (landmarks, row_targets, floors, sum_delta[:, None, None])
+    grad_targets = [landmarks, row_targets, floors, sum_delta[:, None, None]]
     own = np.arange(n_u)
     diagonal = (own, own + n_s)
 
     # each trial measures its iterate Y against [landmarks; Y]: that array
     # and its squared norms are kept in buffers whose landmark rows are
-    # filled once
+    # filled once; a start's trials share its targets
     points = np.empty((_TRIALS * B, m, d))
-    points[:, :n_s] = per_trial(landmarks)
+    points[:, :n_s] = np.repeat(landmarks, _TRIALS, axis=0)
     norms = np.empty((_TRIALS * B, m))
     norms[:, :n_s], lm_max = _sq_norms(points[:, :n_s])
+    pair_targets = row_targets.reshape(B, -1).take(pairs, axis=1)
+    trial_state = [
+        points, norms, lm_max,
+        np.repeat(pair_targets, _TRIALS, axis=0), np.repeat(sum_delta, _TRIALS),
+    ]
 
     def stress(Y, points, norms, lm_max, targets, sum_delta):
         points[:, n_s:] = Y
@@ -773,7 +771,7 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
 
     Y = np.concatenate([p.starts for p in group])
     # the starts fill every trial slot of the first evaluation
-    s, dist = stress(np.repeat(Y, _TRIALS, axis=0), points, norms, lm_max, *stress_targets)
+    s, dist = stress(np.repeat(Y, _TRIALS, axis=0), *trial_state)
     dist = dist[::_TRIALS].copy()
     traces = [array("d", [v]) for v in s[::_TRIALS].tolist()]
     final = Y.copy()
@@ -781,13 +779,12 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
     ids = list(range(B)) if max_iter > 0 else []
     s = [trace[0] for trace in traces]
     step = [_FIRST_STEP] * B
-    if ids:
-        grad = gradient(Y, dist, *grad_targets)
     halvings = 0.5 ** np.arange(_TRIALS)
     while ids:
+        grad = gradient(Y, dist, *grad_targets)
         steps = np.array(step)[:, None] * halvings
         trials = (Y[:, None] - steps[:, :, None, None] * grad[:, None]).reshape(-1, n_u, d)
-        s_try, d_try = stress(trials, points, norms, lm_max, *stress_targets)
+        s_try, d_try = stress(trials, *trial_state)
         s_try = s_try.tolist()
         took, picks, stopped = [], [], []
         for r, b in enumerate(ids):
@@ -811,28 +808,15 @@ def _descend_many(group: list[_Placement], max_iter: int, tol: float):
             picks.append(pick)
             if s[r] == 0.0 or change <= tol * max(s[r], 1e-300) or len(traces[b]) > max_iter:
                 stopped.append(r)
-        if len(took) == len(ids):
-            Y, dist = trials[picks], d_try[picks]
-        elif took:
-            Y[took], dist[took] = trials[picks], d_try[picks]
+        Y[took], dist[took] = trials[picks], d_try[picks]
         if stopped:
             final[[ids[r] for r in stopped]] = Y[stopped]
-            gone = set(stopped)
-            took = [r for r in took if r not in gone]
-        if len(took) == len(ids):
-            grad = gradient(Y, dist, *grad_targets)
-        elif took:
-            picked = grad_targets if len(group) == 1 else tuple(t[took] for t in grad_targets)
-            grad[took] = gradient(Y[took], dist[took], *picked)
-        if stopped:
-            keep = [r for r in range(len(ids)) if r not in gone]
+            keep = [r for r in range(len(ids)) if r not in stopped]
             ids, s, step = ([a[r] for r in keep] for a in (ids, s, step))
-            Y, dist, grad = Y[keep], dist[keep], grad[keep]
+            Y, dist = Y[keep], dist[keep]
             slots = [_TRIALS * r + k for r in keep for k in range(_TRIALS)]
-            points, norms, lm_max = points[slots], norms[slots], lm_max[slots]
-            if len(group) > 1:
-                stress_targets = tuple(t[slots] for t in stress_targets)
-                grad_targets = tuple(t[keep] for t in grad_targets)
+            trial_state = [a[slots] for a in trial_state]
+            grad_targets = [a[keep] for a in grad_targets]
     return final, [np.asarray(trace) for trace in traces]
 
 

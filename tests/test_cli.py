@@ -302,9 +302,10 @@ class TestEvaluateCommand:
         assert echo["config"]["seed"] == 12  # flag wins over config file
 
     @staticmethod
-    def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0):
+    def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0, emptied=None):
         """main_error of an evaluate on a small synthetic dataset whose
-        features are multiplied by scale."""
+        features are multiplied by scale and, when emptied names "seen" or
+        "unseen", whose split 1 has that class set empty."""
         spec = synth.SynthSpec(
             n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
             examples_per_class=per_class, images_per_class=6, n_splits=2,
@@ -312,6 +313,11 @@ class TestEvaluateCommand:
         manifest = synth.make_synthetic(spec, 5, tmp_path / "data")
         features = tmp_path / "data" / "features.zmat"
         data_io.save_matrix(data_io.load_matrix(features) * scale, features)
+        if emptied:
+            splits = tmp_path / "data" / "splits.json"
+            payload = json.loads(splits.read_text())
+            payload["splits"][1][emptied] = []
+            splits.write_text(json.dumps(payload))
         return main_error(
             capsys, "evaluate",
             "--manifest", manifest,
@@ -321,16 +327,21 @@ class TestEvaluateCommand:
         )
 
     @pytest.mark.parametrize(
-        "per_class,scale,named",
+        "per_class,scale,emptied,named",
         [
-            (15, 1e160, "features overflow"),
-            (15, 1e153, "features overflow"),
-            (2, 1.0, "GZSL holdout"),
+            (15, 1e160, None, "features overflow"),
+            (15, 1e153, None, "features overflow"),
+            (2, 1.0, None, "GZSL holdout"),
+            (15, 1.0, "seen", "split 1 has no seen classes"),
+            (15, 1.0, "unseen", "split 1 has no unseen classes"),
         ],
-        ids=["features-overflow", "matrices-overflow", "holdout-leaves-one-example"],
+        ids=[
+            "features-overflow", "matrices-overflow", "holdout-leaves-one-example",
+            "split-without-seen-classes", "split-without-unseen-classes",
+        ],
     )
-    def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, named):
-        code, err = self.evaluate_error(tmp_path, capsys, per_class, scale)
+    def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, emptied, named):
+        code, err = self.evaluate_error(tmp_path, capsys, per_class, scale, emptied)
         assert code == 3
         assert err["error"] == "DataError"
         assert named in err["message"]

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +168,23 @@ class TestClassSplits:
             (s.seen, s.unseen, s.split_index) for s in splits
         ]
 
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda s: replace(s, seen=()), "has no seen classes"),
+            (lambda s: replace(s, unseen=()), "has no unseen classes"),
+            (lambda s: replace(s, unseen=s.unseen + s.seen[:1]), "has overlapping class sets"),
+        ],
+        ids=["no-seen", "no-unseen", "overlap"],
+    )
+    def test_bad_class_sets_are_data_errors(self, tmp_path, edit, problem):
+        splits = generate_class_splits(10, 4, 3, seed=2)
+        splits[1] = edit(splits[1])
+        path = tmp_path / "splits.json"
+        save_splits(splits, path)
+        with pytest.raises(DataError, match=re.escape(f"{path}: split 1 {problem}")):
+            load_splits(path)
+
 
 class TestGzslHoldout:
     def labels_for(self, counts):
@@ -251,6 +270,12 @@ class TestCvFolds:
     def test_too_many_folds(self):
         with pytest.raises(ValueError):
             cv_folds(range(3), 4, seed=0)
+
+    @pytest.mark.parametrize("n_folds", [0, 1])
+    def test_fewer_than_two_folds(self, n_folds):
+        # one fold would hold out every class and keep no seen class
+        with pytest.raises(ValueError, match=r"n_folds must be in \[2, 3\]"):
+            cv_folds(range(3), n_folds, seed=0)
 
 
 class TestSegmentAveraging:

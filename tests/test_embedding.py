@@ -983,6 +983,18 @@ class TestStackedDescent:
         assert run[2] == "min_step"
         assert run[1].size == 1
 
+    def test_starts_of_several_placements_stop_in_different_rounds(self):
+        # starts leave a stack of several placements one by one, so the
+        # stack is compacted while others still search
+        base = random_problem(np.random.default_rng(61), 3, 3, 0)
+        problems = [dict(base, seed=seed, dist_semantic=base["dist_semantic"] * (1.0 + seed / 10))
+                    for seed in range(3)]
+        problems.append(dict(base, init=np.full((3, base["landmarks"].shape[1]), np.nan)))
+        with np.errstate(invalid="ignore"):
+            runs = self.assert_every_start_matches(problems, 400, 1e-4)
+        assert [why for _, _, why in runs] == ["tol"] * 9 + ["min_step"]
+        assert len({trace.size for _, trace, _ in runs[:9]}) > 1
+
     def test_mixed_shapes_in_one_call(self, monkeypatch):
         rng = np.random.default_rng(40)
         problems = [random_problem(rng, n_u, restarts, seed)
