@@ -151,6 +151,8 @@ def _eval_config(args) -> pipeline.EvalConfig:
         raise ConfigError(f"unknown settings {sorted(unknown)}; use czsl,gzsl")
     if not settings:
         raise ConfigError("at least one of czsl,gzsl must be requested")
+    if args.lsm_max_iter < 0:
+        raise ConfigError(f"lsm_max_iter must be >= 0, got {args.lsm_max_iter}")
     return pipeline.EvalConfig(
         **{field: getattr(args, dest) for dest, field in EVAL_FIELDS.items()},
         czsl="czsl" in settings,
@@ -428,6 +430,8 @@ def _parse_args(argv):
     for dest in REQUIRED.get(args.command, ()):
         if not getattr(args, dest):
             raise ConfigError(f"missing required option --{dest}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     return args
 
 

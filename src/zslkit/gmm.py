@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .embedding import _kmeanspp_indices
 
@@ -19,6 +18,27 @@ _EM_TOL = 1e-7
 # Variances are floored at this fraction of the pool's variance per
 # dimension, or at this absolute value on dimensions with zero spread.
 _VAR_FLOOR = 1e-6
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a[i, k]) for every row of a 2-D array.
+
+    scipy 1.17's formula, so results match scipy.special.logsumexp bit for
+    bit: the m entries equal to the row maximum are taken out of the sum,
+    giving log1p(sum_{a_k < a_max} exp(a_k - a_max) / m) + log(m) + a_max.
+    Rows where that is not finite (an infinite or NaN maximum) take
+    log(sum_k exp(a_k)) instead.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        out = (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,14 +122,14 @@ def gmm_posteriors(gmm: DiagGmm, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     single = v.ndim == 1
     log_joint = weighted_log_densities(gmm, v)
-    log_post = log_joint - logsumexp(log_joint, axis=1, keepdims=True)
+    log_post = log_joint - _logsumexp(log_joint)[:, None]
     post = np.exp(log_post)
     return post[0] if single else post
 
 
 def log_likelihood(gmm: DiagGmm, X) -> float:
     """Total log-likelihood of the rows of X under the mixture."""
-    return float(logsumexp(weighted_log_densities(gmm, X), axis=1).sum())
+    return float(_logsumexp(weighted_log_densities(gmm, X)).sum())
 
 
 def fit_diag_gmm(pool, k: int, *, max_iter: int = 300, seed: int = 0) -> DiagGmm:
@@ -158,7 +178,7 @@ def fit_diag_gmm(pool, k: int, *, max_iter: int = 300, seed: int = 0) -> DiagGmm
     for _ in range(max_iter):
         gmm = DiagGmm(weights=weights, means=means, variances=variances)
         log_joint = weighted_log_densities(gmm, Xc)
-        row_ll = logsumexp(log_joint, axis=1)
+        row_ll = _logsumexp(log_joint)
         ll = float(row_ll.sum())
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) <= _EM_TOL * abs(prev_ll):

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data_io import _atomic_write
 from .embedding import (
@@ -216,16 +215,75 @@ def optimal_assignment(cost) -> np.ndarray:
     """Minimum-total-cost bijection rows -> columns of a square cost matrix.
 
     Returns perm with perm[i] the column matched to row i.
+
+    The shortest augmenting path method (Crouse 2016, IEEE TAES) as scipy's
+    linear_sum_assignment runs it, step for step, so that tied costs give
+    scipy's permutation: each path search scans the unscanned columns in
+    scipy's order (n-1 down to 0 at the start, the last one moving into the
+    place of each column taken), and among equal minimal path costs takes
+    the last unassigned column in that order, or else the first.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    n = cost.shape[0]
+    # duals u (a list: only read one at a time) and v; the matching both ways
+    u, v = [0.0] * n, np.zeros(n)
+    col4row, row4col = [-1] * n, [-1] * n
+    path = np.empty(n, dtype=np.int64)
+    # path costs of the unscanned columns; a scanned column holds +inf here
+    # and -inf in v_open, so its reduced cost is +inf and never improves
+    spc, v_open = np.empty(n), np.empty(n)
+    spc_back = spc[::-1]
+    r, better = np.empty(n), np.empty(n, dtype=bool)
+    descending = list(range(n - 1, -1, -1))
+    for cur in range(n):
+        spc.fill(np.inf)
+        np.copyto(v_open, v)
+        # order: the unscanned columns in scan order; place[j]: j's position
+        order, place = descending[:], descending[:]
+        rows, cols, lows = [cur], [], []
+        i, min_val = cur, 0.0
+        while True:
+            # r = ((min_val + cost[i, j]) - u[i]) - v[j], as scipy adds it up
+            np.add(cost[i], min_val, out=r)
+            np.subtract(r, u[i], out=r)
+            np.subtract(r, v_open, out=r)
+            np.less(r, spc, out=better)
+            np.copyto(spc, r, where=better)
+            np.copyto(path, i, where=better)
+            j = int(spc.argmin())
+            min_val = spc.item(j)
+            if spc_back.argmin() != n - 1 - j:  # the minimum repeats
+                ties = sorted(np.flatnonzero(spc == min_val).tolist(), key=place.__getitem__)
+                free = [c for c in ties if row4col[c] == -1]
+                j = free[-1] if free else ties[0]
+            last = order.pop()
+            if last != j:
+                order[place[j]] = last
+                place[last] = place[j]
+            cols.append(j)
+            lows.append(min_val)
+            spc[j], v_open[j] = np.inf, -np.inf
+            i = row4col[j]
+            if i == -1:
+                break
+            rows.append(i)
+        # dual update: a row reached through column cols[k] gains min_val
+        # less that column's path cost, and the column loses as much
+        u[cur] += min_val
+        for k in range(1, len(rows)):
+            u[rows[k]] += min_val - lows[k - 1]
+        v[cols] -= min_val - np.array(lows)
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
 
 
 def transductive_predict(points, space: SearchSpace, *, seed: int = 0) -> np.ndarray:

@@ -501,9 +501,12 @@ class TestConfigFile:
             ("sweep", {"values": 5}, "values"),
             ("sweep", {"axis": "k", "method": "ffv", "values": "1,7"}, "got 7"),
             ("sweep", {"values": "0"}, "got 0"),
+            ("evaluate", {"lsm_max_iter": -5}, "lsm_max_iter"),
+            ("evaluate", {"seed": -1}, "seed"),
         ],
         ids=["unknown-key", "string-bool", "bad-int", "settings-number",
-             "values-number", "k-axis-7", "images-axis-0"],
+             "values-number", "k-axis-7", "images-axis-0", "negative-lsm-max-iter",
+             "negative-seed"],
     )
     def test_bad_value_is_config_error(self, synth_dir, tmp_path, command, keys, named):
         result = self.run_config(synth_dir, tmp_path, command, **keys)

@@ -9,6 +9,7 @@ from zslkit.embedding import _kmeanspp_indices
 from zslkit.encoders import VectorBag, fisher_encode
 from zslkit.gmm import (
     DiagGmm,
+    _logsumexp,
     fit_diag_gmm,
     gmm_posteriors,
     log_likelihood,
@@ -123,6 +124,38 @@ class TestPosteriors:
         )
         post = gmm_posteriors(gmm, rng.normal(size=(100, 2)) * 50)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
+
+
+INF = np.inf
+LOGSUMEXP_CASES = {
+    "repeated-maxima": [[1.0, 1.0, 0.0], [2.0, 2.0, 2.0], [-3.0, 5.0, 5.0]],
+    "minus-inf-entries": [[-INF, 0.0, 1.0], [-INF, -INF, 3.0], [0.5, -INF, 0.5]],
+    "all-minus-inf-row": [[-INF, -INF, -INF], [0.0, 1.0, 2.0]],
+    "plus-minus-1e300": [[1e300, 1e300, -1e300], [-1e300, -1e300, -1e300], [1e300, 0.0, -1e300]],
+    "single-column": [[3.0], [-INF], [1e300], [-1e300], [-2.0]],
+    "inf-and-nan": [[INF, 0.0], [INF, INF], [np.nan, 0.0]],
+}
+
+
+class TestLogsumexp:
+    """The numpy logsumexp against scipy's, byte for byte, so that Fisher
+    encodings keep the bits they had when EM called scipy."""
+
+    @pytest.mark.parametrize("name", sorted(LOGSUMEXP_CASES))
+    def test_edge_rows_match_scipy(self, name):
+        a = np.array(LOGSUMEXP_CASES[name])
+        with np.errstate(all="ignore"):
+            ref = logsumexp(a, axis=1)
+        assert _logsumexp(a).tobytes() == ref.tobytes()
+
+    def test_em_shaped_rows_match_scipy(self):
+        rng = np.random.default_rng(8)
+        gmm = DiagGmm(weights=rng.dirichlet(np.ones(5)), means=rng.normal(size=(5, 16)),
+                      variances=rng.uniform(0.05, 2.0, size=(5, 16)))
+        a = weighted_log_densities(gmm, rng.normal(size=(400, 16)) * 3)
+        top = a[::7].max(axis=1)
+        a[::7, 0], a[::7, 1] = top, top  # repeated maxima in every 7th row
+        assert _logsumexp(a).tobytes() == logsumexp(a, axis=1).tobytes()
 
 
 class TestEmFit:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from zslkit import zsl_eval
+from zslkit import data_io, pipeline, synth, zsl_eval
 from zslkit.embedding import _exact_argmin, _nearest, _pairwise_sq_dists
 from zslkit.errors import DataError
 from zslkit.zsl_eval import (
@@ -430,6 +432,46 @@ class TestOptimalAssignment:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             optimal_assignment(np.zeros((2, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        levels=st.sampled_from([(0.0,), (0.0, 1.0, 2.0), (0.0, 0.5), (0.0, 1.0, 2.0, 3.0, 4.0)]),
+        shape=st.sampled_from(["iid", "dup-rows", "dup-cols", "dup-both"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ties_resolve_as_scipy(self, n, levels, shape, seed):
+        # small-integer costs tie constantly, inside the path search and in
+        # the optimum; (0.0,) is the all-equal matrix
+        rng = np.random.default_rng(seed)
+        cost = rng.choice(levels, size=(n, n))
+        if shape in ("dup-rows", "dup-both"):
+            cost = cost[rng.integers(0, n, n)]
+        if shape in ("dup-cols", "dup-both"):
+            cost = cost[:, rng.integers(0, n, n)]
+        np.testing.assert_array_equal(optimal_assignment(cost), linear_sum_assignment(cost)[1])
+
+    def test_transductive_costs_resolve_as_scipy(self, tmp_path, monkeypatch):
+        spec = synth.SynthSpec(n_classes=16, n_seen=8, d_visual=12, d_latent_true=3,
+                               d_semantic=6, examples_per_class=10, images_per_class=1,
+                               noise_visual=0.3, n_splits=2)
+        manifest = synth.make_synthetic(spec, seed=4, out_dir=tmp_path)
+        ds = data_io.load_dataset(manifest)
+        space = data_io.load_semantic_space(tmp_path / "space.json")
+        splits = data_io.load_splits(tmp_path / "splits.json")
+        costs = []
+
+        def recording(cost):
+            costs.append(np.array(cost))
+            return optimal_assignment(cost)
+
+        monkeypatch.setattr(zsl_eval, "optimal_assignment", recording)
+        cfg = pipeline.EvalConfig(d_latent=3, n_neighbors=5, lsm_restarts=1, lsm_max_iter=100)
+        pipeline.run_evaluation(ds.name, ds.features, ds.labels, space, splits, cfg)
+        # per split: unseen classes (CZSL) and all classes (GZSL)
+        assert [c.shape[0] for c in costs] == [8, 16, 8, 16]
+        for cost in costs:
+            np.testing.assert_array_equal(optimal_assignment(cost), linear_sum_assignment(cost)[1])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
