@@ -283,6 +283,12 @@ def load_splits(path) -> list:
         for name, ids in (("seen", s.seen), ("unseen", s.unseen)):
             if not ids:
                 raise DataError(f"splits file {path}: split {s.split_index} has no {name} classes")
+            repeated = next((c for k, c in enumerate(ids) if c in ids[:k]), None)
+            if repeated is not None:
+                raise DataError(
+                    f"splits file {path}: split {s.split_index} lists {name} class "
+                    f"{repeated} more than once"
+                )
         if set(s.seen) & set(s.unseen):
             raise DataError(f"splits file {path}: split {s.split_index} has overlapping class sets")
     return splits

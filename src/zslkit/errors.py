@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4. Plain ValueError from argument validation is treated
-like DataError at the CLI boundary.
+NumericalError -> 4. The CLI checks the range of every numeric option
+itself and reports a value outside it as a ConfigError that names the
+option. Library functions called directly raise plain ValueError for such
+values; at the CLI boundary a ValueError is treated like DataError.
 """
 
 

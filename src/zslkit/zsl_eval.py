@@ -216,12 +216,11 @@ def optimal_assignment(cost) -> np.ndarray:
 
     Returns perm with perm[i] the column matched to row i.
 
-    The shortest augmenting path method (Crouse 2016, IEEE TAES) as scipy's
-    linear_sum_assignment runs it, step for step, so that tied costs give
-    scipy's permutation: each path search scans the unscanned columns in
-    scipy's order (n-1 down to 0 at the start, the last one moving into the
-    place of each column taken), and among equal minimal path costs takes
-    the last unassigned column in that order, or else the first.
+    The shortest augmenting path method (Crouse 2016, IEEE TAES; Jonker &
+    Volgenant 1987). The result is always a minimum-cost matching. Each path
+    step scans the unscanned column of least path cost, the lowest index
+    among equal ones; wherever the optimum is unique, the result is scipy's
+    linear_sum_assignment permutation.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -236,14 +235,10 @@ def optimal_assignment(cost) -> np.ndarray:
     # path costs of the unscanned columns; a scanned column holds +inf here
     # and -inf in v_open, so its reduced cost is +inf and never improves
     spc, v_open = np.empty(n), np.empty(n)
-    spc_back = spc[::-1]
     r, better = np.empty(n), np.empty(n, dtype=bool)
-    descending = list(range(n - 1, -1, -1))
     for cur in range(n):
         spc.fill(np.inf)
         np.copyto(v_open, v)
-        # order: the unscanned columns in scan order; place[j]: j's position
-        order, place = descending[:], descending[:]
         rows, cols, lows = [cur], [], []
         i, min_val = cur, 0.0
         while True:
@@ -256,14 +251,6 @@ def optimal_assignment(cost) -> np.ndarray:
             np.copyto(path, i, where=better)
             j = int(spc.argmin())
             min_val = spc.item(j)
-            if spc_back.argmin() != n - 1 - j:  # the minimum repeats
-                ties = sorted(np.flatnonzero(spc == min_val).tolist(), key=place.__getitem__)
-                free = [c for c in ties if row4col[c] == -1]
-                j = free[-1] if free else ties[0]
-            last = order.pop()
-            if last != j:
-                order[place[j]] = last
-                place[last] = place[j]
             cols.append(j)
             lows.append(min_val)
             spc[j], v_open[j] = np.inf, -np.inf

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,10 +303,10 @@ class TestEvaluateCommand:
         assert echo["config"]["seed"] == 12  # flag wins over config file
 
     @staticmethod
-    def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0, emptied=None):
+    def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0, edit=None):
         """main_error of an evaluate on a small synthetic dataset whose
-        features are multiplied by scale and, when emptied names "seen" or
-        "unseen", whose split 1 has that class set empty."""
+        features are multiplied by scale and, when edit is given, whose
+        split 1 is edit(split 1); a warning on the way fails the test."""
         spec = synth.SynthSpec(
             n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
             examples_per_class=per_class, images_per_class=6, n_splits=2,
@@ -313,35 +314,42 @@ class TestEvaluateCommand:
         manifest = synth.make_synthetic(spec, 5, tmp_path / "data")
         features = tmp_path / "data" / "features.zmat"
         data_io.save_matrix(data_io.load_matrix(features) * scale, features)
-        if emptied:
+        if edit:
             splits = tmp_path / "data" / "splits.json"
             payload = json.loads(splits.read_text())
-            payload["splits"][1][emptied] = []
+            payload["splits"][1] = edit(payload["splits"][1])
             splits.write_text(json.dumps(payload))
-        return main_error(
-            capsys, "evaluate",
-            "--manifest", manifest,
-            "--space", tmp_path / "data" / "space.json",
-            "--splits", tmp_path / "data" / "splits.json",
-            "--d-latent", 3, "--neighbors", 5, "--out", tmp_path / "eval",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = main_error(
+                capsys, "evaluate",
+                "--manifest", manifest,
+                "--space", tmp_path / "data" / "space.json",
+                "--splits", tmp_path / "data" / "splits.json",
+                "--d-latent", 3, "--neighbors", 5, "--out", tmp_path / "eval",
+            )
+        assert [str(w.message) for w in caught] == []
+        return result
 
     @pytest.mark.parametrize(
-        "per_class,scale,emptied,named",
+        "per_class,scale,edit,named",
         [
             (15, 1e160, None, "features overflow"),
             (15, 1e153, None, "features overflow"),
             (2, 1.0, None, "GZSL holdout"),
-            (15, 1.0, "seen", "split 1 has no seen classes"),
-            (15, 1.0, "unseen", "split 1 has no unseen classes"),
+            (15, 1.0, lambda s: {**s, "seen": []}, "split 1 has no seen classes"),
+            (15, 1.0, lambda s: {**s, "unseen": []}, "split 1 has no unseen classes"),
+            (15, 1.0, lambda s: {**s, "unseen": s["unseen"] + s["unseen"][:1]},
+             "split 1 lists unseen class"),
         ],
         ids=[
             "features-overflow", "matrices-overflow", "holdout-leaves-one-example",
             "split-without-seen-classes", "split-without-unseen-classes",
+            "split-with-repeated-class",
         ],
     )
-    def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, emptied, named):
-        code, err = self.evaluate_error(tmp_path, capsys, per_class, scale, emptied)
+    def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, edit, named):
+        code, err = self.evaluate_error(tmp_path, capsys, per_class, scale, edit)
         assert code == 3
         assert err["error"] == "DataError"
         assert named in err["message"]
@@ -487,8 +495,10 @@ class TestConfigFile:
             base["space"] = str(synth_dir / "space.json")
         else:
             base.update(axis="images", values="2,4", method="afv", settings="czsl")
+        # a key given as None is left out
+        config = {k: v for k, v in {**base, **keys}.items() if v is not None}
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({**base, **keys}))
+        cfg_path.write_text(json.dumps(config))
         return run_cli(command, "--config", cfg_path)
 
     @pytest.mark.parametrize(
@@ -503,10 +513,25 @@ class TestConfigFile:
             ("sweep", {"values": "0"}, "got 0"),
             ("evaluate", {"lsm_max_iter": -5}, "lsm_max_iter"),
             ("evaluate", {"seed": -1}, "seed"),
+            ("evaluate", {"d_latent": 0}, "d_latent must be >= 1, got 0"),
+            ("sweep", {"d_latent": 0}, "d_latent must be >= 1, got 0"),
+            ("evaluate", {"neighbors": 0}, "neighbors must be >= 1, got 0"),
+            ("evaluate", {"width_scale": -1}, "width_scale must be finite and > 0, got -1.0"),
+            ("evaluate", {"width_scale": "nan"}, "width_scale must be finite and > 0, got nan"),
+            ("evaluate", {"width_scale": "inf"}, "width_scale must be finite and > 0, got inf"),
+            ("evaluate", {"lsm_restarts": 0}, "lsm_restarts must be >= 1, got 0"),
+            ("evaluate", {"holdout_fraction": 0.0}, "holdout_fraction must be in (0, 1), got 0.0"),
+            ("evaluate", {"holdout_fraction": 1.5}, "holdout_fraction must be in (0, 1), got 1.5"),
+            ("evaluate", {"splits": None, "n_splits": 0}, "n_splits must be >= 1, got 0"),
+            ("evaluate", {"splits": None, "n_seen": 0}, "n_seen must be in 1..7 for 8 classes"),
+            ("evaluate", {"splits": None, "n_seen": 8}, "n_seen must be in 1..7 for 8 classes"),
         ],
         ids=["unknown-key", "string-bool", "bad-int", "settings-number",
              "values-number", "k-axis-7", "images-axis-0", "negative-lsm-max-iter",
-             "negative-seed"],
+             "negative-seed", "zero-d-latent", "sweep-zero-d-latent", "zero-neighbors",
+             "negative-width-scale", "nan-width-scale", "infinite-width-scale",
+             "zero-lsm-restarts", "zero-holdout-fraction", "holdout-fraction-above-one",
+             "zero-n-splits", "zero-n-seen", "n-seen-all-classes"],
     )
     def test_bad_value_is_config_error(self, synth_dir, tmp_path, command, keys, named):
         result = self.run_config(synth_dir, tmp_path, command, **keys)

@@ -174,8 +174,9 @@ class TestClassSplits:
             (lambda s: replace(s, seen=()), "has no seen classes"),
             (lambda s: replace(s, unseen=()), "has no unseen classes"),
             (lambda s: replace(s, unseen=s.unseen + s.seen[:1]), "has overlapping class sets"),
+            (lambda s: replace(s, seen=s.seen + s.seen[-1:]), "lists seen class"),
         ],
-        ids=["no-seen", "no-unseen", "overlap"],
+        ids=["no-seen", "no-unseen", "overlap", "repeated-class"],
     )
     def test_bad_class_sets_are_data_errors(self, tmp_path, edit, problem):
         splits = generate_class_splits(10, 4, 3, seed=2)

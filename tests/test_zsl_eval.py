@@ -372,6 +372,24 @@ class TestLloydAssignment:
         assert len(passes) >= 2
         np.testing.assert_array_equal(result.assignments, explicit_argmin(X, result.centroids))
 
+    @pytest.mark.parametrize(
+        "X, centers, centroids, assignments",
+        [
+            pytest.param([0, 1, 10, 11], [0, 10, 100], [0, 10.5, 1], [0, 2, 1, 1], id="one-empty"),
+            pytest.param([0, 1, 2, 10, 11], [0, 10, 100, 200], [0, 10.5, 2, 1], [0, 3, 2, 1, 1],
+                         id="two-empty-in-one-pass"),
+        ],
+    )
+    def test_empty_cluster_moves_to_the_farthest_point(self, X, centers, centroids, assignments):
+        # an empty cluster's centroid moves onto the point farthest from its
+        # own centroid; clusters empty in one pass are repaired in index order,
+        # so cluster 2 takes the point 2 before cluster 3 takes the point 1
+        X = np.array(X, dtype=float)[:, None]
+        result = zsl_eval._lloyd(X, np.array(centers, dtype=float)[:, None], 100)
+        np.testing.assert_array_equal(result.centroids[:, 0], centroids)
+        np.testing.assert_array_equal(result.assignments, assignments)
+        assert result.inertia == 0.5
+
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the paper-51-50 and slpp-dense shapes of the transductive k-means
         script = (
@@ -440,15 +458,26 @@ class TestOptimalAssignment:
         shape=st.sampled_from(["iid", "dup-rows", "dup-cols", "dup-both"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ties_resolve_as_scipy(self, n, levels, shape, seed):
+    def test_tied_costs_give_an_optimal_repeatable_permutation(self, n, levels, shape, seed):
         # small-integer costs tie constantly, inside the path search and in
-        # the optimum; (0.0,) is the all-equal matrix
+        # the optimum; (0.0,) is the all-equal matrix. These levels add up
+        # exactly, so the optimal total is one float whatever the matching.
         rng = np.random.default_rng(seed)
         cost = rng.choice(levels, size=(n, n))
         if shape in ("dup-rows", "dup-both"):
             cost = cost[rng.integers(0, n, n)]
         if shape in ("dup-cols", "dup-both"):
             cost = cost[:, rng.integers(0, n, n)]
+        perm = optimal_assignment(cost)
+        assert sorted(perm.tolist()) == list(range(n))
+        rows = np.arange(n)
+        assert cost[rows, perm].sum() == cost[rows, linear_sum_assignment(cost)[1]].sum()
+        np.testing.assert_array_equal(optimal_assignment(cost), perm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_continuous_costs_match_scipy(self, n, seed):
+        cost = np.random.default_rng(seed).uniform(size=(n, n))
         np.testing.assert_array_equal(optimal_assignment(cost), linear_sum_assignment(cost)[1])
 
     def test_transductive_costs_resolve_as_scipy(self, tmp_path, monkeypatch):
