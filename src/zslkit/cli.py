@@ -11,7 +11,8 @@ the subcommand's parser defaults, converted as the flags convert them, and
 each cmd_* reads one namespace.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Failures emit one JSON object {"error", "message"} on stderr.
+failure. Failures emit one JSON object {"error", "message"} on stderr, and
+each warning one line "warning: <message>".
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,17 +458,24 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parse_args(argv)
-        return args.func(args)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    except ConfigError as e:
-        return _fail(2, e)
-    except (DataError, OSError, ValueError) as e:
-        return _fail(3, e)
-    except (NumericalError, np.linalg.LinAlgError, MemoryError) as e:
-        return _fail(4, e)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        try:
+            args = _parse_args(argv)
+            return args.func(args)
+        except SystemExit as e:
+            return 0 if e.code in (0, None) else 2
+        except ConfigError as e:
+            return _fail(2, e)
+        except (DataError, OSError, ValueError) as e:
+            return _fail(3, e)
+        except (NumericalError, np.linalg.LinAlgError, MemoryError) as e:
+            return _fail(4, e)
+
+
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _fail(code: int, exc: Exception) -> int:

@@ -327,72 +327,110 @@ def knn_affinity(X, labels, n_neighbors: int, width: float) -> AffinityGraph:
     stays zero, so it is an error.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return AffinityGraph(next(_affinities(X, np.asarray(labels), [(n_neighbors, 1.0)], width)))
+    rows, cols, weights = next(_affinities(X, np.asarray(labels), [(n_neighbors, 1.0)], width))
+    W = np.zeros((X.shape[0], X.shape[0]))
+    W[rows, cols] = weights
+    return AffinityGraph(W)
 
 
 def median_pairwise_distance(X) -> float:
     """Median of the positive pairwise Euclidean distances."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _median_width(_pairwise_sq_dists(X, X))
+    return float(np.sqrt(_positive_median(_distance_pass(X, _sq_norms(X), (), True)[1])))
 
 
-def _median_width(d2) -> float:
-    """Square root of the median positive entry of d2's strict upper triangle."""
-    positive = d2[np.triu(d2 > 0, 1)]
-    if positive.size == 0:
+def _distance_pass(X, norms, ks, triangle):
+    """One streamed pass over the squared distances between X's rows, in row
+    blocks of about _BLOCK_BYTES / 16. Each block is _pairwise_sq_dists of its
+    rows against X with the global norms, so its slack is the full call's.
+    Every block gives each k in ks its rows' kNN pairs (_knn_exact); with
+    triangle, its strict upper triangle is also copied into one n(n-1)/2
+    buffer, row by row. Returns ({k: (rows, cols, exact squared distances)},
+    the buffer or None). No n x n array is held."""
+    n, d = X.shape
+    x2, x2_max = norms
+    slack = _slack(x2_max, x2_max, d)
+    found = {k: [] for k in ks}
+    upper = np.empty(n * (n - 1) // 2) if triangle else None
+    filled = 0
+    step = max(1, _BLOCK_BYTES // (16 * 8 * max(1, n)))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = _pairwise_sq_dists(X[rows], X, (x2[rows], x2_max), norms)
+        for k, pairs in found.items():
+            pairs.append(_knn_exact(X, block, slack, start, k))
+        if triangle:
+            values = block[np.arange(n) > np.arange(start, start + len(block))[:, None]]
+            upper[filled : filled + values.size] = values
+            filled += values.size
+    return {k: tuple(map(np.concatenate, zip(*pairs))) for k, pairs in found.items()}, upper
+
+
+def _positive_median(values) -> float:
+    """np.median of the positive entries of values, which are all >= 0,
+    selected in place: values is partitioned at the middle rank(s) past its
+    zeros, and an even count averages its two middle entries as np.median
+    does (np.mean of the two)."""
+    positive = np.count_nonzero(values)
+    if positive == 0:
         raise DataError("all points coincide; no positive pairwise distance")
-    return float(np.sqrt(np.median(positive, overwrite_input=True)))
+    low = values.size - positive + (positive - 1) // 2
+    high = values.size - positive + positive // 2
+    values.partition([low, high])
+    return float(values[low : high + 1].mean())
 
 
 def _affinities(X, labels, graphs, width):
-    """knn_affinity's weights for each (n_neighbors, width_scale) of graphs, in
-    order, from one distance pass over X that takes the median (a graph's width
-    is width, or width_scale times the median) and every n_neighbors' kNN pairs.
-    Only the pairs outlive the pass; the weights are built as each is asked for."""
+    """knn_affinity's graph for each (n_neighbors, width_scale) of graphs, in
+    order, from one _distance_pass over X that takes the median (a graph's
+    width is width, or width_scale times the median) and every n_neighbors'
+    kNN pairs. Each graph is yielded as _graph's sorted (rows, cols,
+    weights); no n x n array is built."""
     n = X.shape[0]
+    if n < 2:
+        raise ValueError("need at least two points to build an affinity graph")
+    for n_neighbors, _ in graphs:
+        if not 0 < n_neighbors < n:
+            raise ValueError(f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}")
     norms = _sq_norms(X)
     if not norms[1] <= np.finfo(np.float64).max / 4:  # no squared distance exceeds 4 max ||x||^2
         raise DataError("features overflow: squared norms beyond float64; rescale the features")
-    d2 = _pairwise_sq_dists(X, X, norms)
-    median = _median_width(d2) if width is None else None
+    found, upper = _distance_pass(X, norms, [k for k, _ in graphs], width is None)
+    median = None if upper is None else float(np.sqrt(_positive_median(upper)))
+    del upper
     widths = [width_scale * median if width is None else width for _, width_scale in graphs]
-    if n < 2:
-        raise ValueError("need at least two points to build an affinity graph")
-    for (n_neighbors, _), w in zip(graphs, widths):
-        if not 0 < n_neighbors < n:
-            raise ValueError(f"n_neighbors must be in [1, {n - 1}], got {n_neighbors}")
+    for w in widths:
         if w <= 0:
             raise ValueError(f"kernel width must be positive, got {w}")
 
-    slack = _slack(norms[1], norms[1], X.shape[1])
-    pairs = {n_neighbors: [] for n_neighbors, _ in graphs}
-    step = max(1, _BLOCK_BYTES // (40 * n))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        for n_neighbors, found in pairs.items():
-            i, j, dist = _knn_exact(X, d2[rows], slack, start, n_neighbors)
-            keep = labels[i] == labels[j]
-            found.append((i[keep], j[keep], dist[keep]))
-    del d2
-
     for (n_neighbors, _), w in zip(graphs, widths):
-        scale = 2.0 * w**2
-        W = np.zeros((n, n))
-        for i, j, dist in pairs[n_neighbors]:
-            W[i, j] = np.exp(-dist / scale)
-        W = np.maximum(W, W.T)
-        for i in np.flatnonzero(W.sum(axis=1) == 0):
-            mates = np.flatnonzero(labels == labels[i])
-            mates = mates[mates != i]
-            if mates.size == 0:
-                raise DataError(
-                    f"class {labels[i]} has a single example; its graph row cannot "
-                    "be populated"
-                )
-            W[i, mates] = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, i), mates) / scale)
-            W[mates, i] = W[i, mates]
-        yield W
-        del W
+        yield _graph(X, labels, found[n_neighbors], 2.0 * w**2)
+
+
+def _graph(X, labels, pairs, scale):
+    """The heat-kernel graph max(W, W^T) of the same-class kNN pairs among
+    pairs = (i, j, exact squared distance), with knn_affinity's empty-row
+    fallback, as (rows, cols, weights) sorted by row, then column."""
+    n = X.shape[0]
+    i, j, dist = pairs
+    keep = labels[i] == labels[j]
+    i, j, weights = i[keep], j[keep], np.exp(-dist[keep] / scale)
+    empty = np.flatnonzero(np.bincount(i, weights, n) + np.bincount(j, weights, n) == 0)
+    keys, pieces = [i * n + j, j * n + i], [weights, weights]
+    for r in empty:
+        mates = np.flatnonzero(labels == labels[r])
+        mates = mates[mates != r]
+        if mates.size == 0:
+            raise DataError(
+                f"class {labels[r]} has a single example; its graph row cannot be populated"
+            )
+        w_r = np.exp(-_exact_sq_dists(X, X, np.full(mates.size, r), mates) / scale)
+        keys += [r * n + mates, mates * n + r]
+        pieces += [w_r, w_r]
+    # exact distances are symmetric, so every copy of a pair has one weight
+    # and the distinct pairs, each with its first weight, are max(W, W^T)
+    keys, first = np.unique(np.concatenate(keys), return_index=True)
+    return *np.divmod(keys, n), np.concatenate(pieces)[first]
 
 
 def _lower_inverse(L):
@@ -469,19 +507,29 @@ def slpp_fit_many(X, labels, *, d_latent: int, graphs, width: float | None = Non
     if d_latent < 1:
         raise ValueError(f"d_latent must be >= 1, got {d_latent}")
     models = []
-    for W in _affinities(X, labels, graphs, width):
-        models.append(_slpp_solve(X, W, d_latent))
-        del W  # freed before the next graph's weights are built
+    for graph in _affinities(X, labels, graphs, width):
+        models.append(_slpp_solve(X, graph, d_latent))
+        del graph  # freed before the next graph is built
     return models
 
 
-def _slpp_solve(X, W, d_latent: int) -> LatentModel:
-    """slpp_fit's eigenproblem and column selection on the graph weights W."""
-    d = X.shape[1]
-    row_sums = W.sum(axis=1)
+def _slpp_solve(X, graph, d_latent: int) -> LatentModel:
+    """slpp_fit's eigenproblem and column selection on the graph's sorted
+    (rows, cols, weights)."""
+    rows, cols, weights = graph
+    n, d = X.shape
+    row_sums = np.bincount(rows, weights, minlength=n)
+    # a row's r-th pair, for every row at once: one gathered (n x d) update
+    # of W X per neighbour rank
+    counts = np.bincount(rows, minlength=n)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    by_rank = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A or B is rejected below
+        WX = np.zeros_like(X)
+        for pairs in by_rank:
+            WX[rows[pairs]] += weights[pairs, None] * X[cols[pairs]]
         XD = X * row_sums[:, None]
-        A = X.T @ (XD - W @ X)  # X^T (D - W) X
+        A = X.T @ (XD - WX)  # X^T (D - W) X
         B = X.T @ XD
         A = 0.5 * (A + A.T)
         B = 0.5 * (B + B.T)

@@ -354,6 +354,23 @@ class TestEvaluateCommand:
         assert err["error"] == "DataError"
         assert named in err["message"]
 
+    def test_warnings_print_one_line_each(self, tmp_path, capsys):
+        # two classes with one semantic vector: every Sammon placement that
+        # holds both clamps their zero distance and warns
+        data = tmp_path / "data"
+        manifest = synth.make_synthetic(synth.SynthSpec(), 1, data)
+        reps = data_io.load_matrix(data / "space.zmat")
+        reps[1] = reps[0]
+        data_io.save_matrix(reps, data / "space.zmat")
+        code = cli.main([
+            "evaluate", "--manifest", str(manifest), "--space", str(data / "space.json"),
+            "--splits", str(data / "splits.json"), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert any("clamped" in line for line in lines)
+        assert all(line.startswith("warning: ") for line in lines), lines
+
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # numpy's message names the array that could not be allocated
         message = "Unable to allocate 107. MiB for an array with shape (3750, 3750)"

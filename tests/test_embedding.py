@@ -75,6 +75,63 @@ def grid_points(rng, n, d, offset):
     return X
 
 
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_slpp_reference(X, labels, n_neighbors, width_scale, d_latent):
+    """SLPP on dense n x n weights, as embedding fitted it before its graphs
+    became (rows, cols, weights) pairs: one full distance matrix, the median
+    of its strict upper triangle, every row's kNN pairs, W = max(W, W^T) with
+    the empty-row fallback, then D = W.sum(axis=1) and a dense W @ X.
+    Returns (eigenvalues, projection, number of rows the fallback filled)."""
+    n, d = X.shape
+    d2 = _pairwise_sq_dists(X, X)
+    upper = d2[np.triu(d2 > 0, 1)]
+    scale = 2.0 * (width_scale * float(np.sqrt(np.median(upper)))) ** 2
+    norms = embedding._sq_norms(X)
+    slack = embedding._slack(norms[1], norms[1], d)
+    i, j, dist = embedding._knn_exact(X, d2, slack, 0, n_neighbors)
+    keep = labels[i] == labels[j]
+    W = np.zeros((n, n))
+    W[i[keep], j[keep]] = np.exp(-dist[keep] / scale)
+    W = np.maximum(W, W.T)
+    empty = np.flatnonzero(W.sum(axis=1) == 0)
+    for r in empty:
+        mates = np.flatnonzero(labels == labels[r])
+        mates = mates[mates != r]
+        W[r, mates] = np.exp(-embedding._exact_sq_dists(X, X, np.full(mates.size, r), mates) / scale)
+        W[mates, r] = W[r, mates]
+    row_sums = W.sum(axis=1)
+    XD = X * row_sums[:, None]
+    A = X.T @ (XD - W @ X)
+    B = X.T @ XD
+    A = 0.5 * (A + A.T)
+    B = 0.5 * (B + B.T)
+    B[np.diag_indices(d)] += embedding._SLPP_REG * np.trace(B) / d
+    vals, vecs = embedding._generalized_eigh(A, B)
+    kept = []
+    for idx in range(d):
+        y = X @ vecs[:, idx]
+        if y.std() > 1e-9 * max(1.0, float(np.abs(y).max())):
+            kept.append(idx)
+        if len(kept) == d_latent:
+            break
+    return vals[kept], vecs[:, kept], empty.size
+
+
+def principal_angles(P, Q):
+    """Principal angles (radians) between the column spaces of P and Q."""
+    sv = np.linalg.svd(np.linalg.qr(P)[0].T @ np.linalg.qr(Q)[0], compute_uv=False)
+    return np.arccos(np.clip(sv, -1.0, 1.0))
+
+
 class TestDistanceKernel:
     @pytest.mark.parametrize("d", [1, 3, 20, 128])
     def test_matches_explicit_differences(self, d):
@@ -303,19 +360,15 @@ class TestKnnAffinity:
         np.testing.assert_array_equal(g.weights, distinct_rank_affinity(X, labels, k, 0.3))
 
     def test_memory_at_n2000(self):
-        # beside the weights and the distances, each n x n float64 (30.5 MB),
-        # the graph may hold only row blocks and candidate windows; an n x n
-        # label mask or a third n x n array breaks the bound
+        # the dense weights knn_affinity returns are the one n x n float64
+        # array (30.5 MB); the graph itself is built from streamed row blocks,
+        # candidate windows and kNN pairs, so a distance matrix or a
+        # symmetrized copy of the weights breaks the bound
         rng = np.random.default_rng(23)
         X = rng.normal(size=(2000, 64))
         labels = np.repeat(np.arange(20), 100)
-        tracemalloc.start()
-        try:
-            knn_affinity(X, labels, n_neighbors=10, width=8.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2000 * 2000 * 8
+        peak = traced_peak(lambda: knn_affinity(X, labels, n_neighbors=10, width=8.0))
+        assert peak < 1.5 * 2000 * 2000 * 8
 
     def test_empty_row_fallback_connects_class(self):
         # class 1's points sit between class-0 points, so their nearest
@@ -329,6 +382,28 @@ class TestKnnAffinity:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             knn_affinity(np.zeros((3, 1)), [0, 0, 0], n_neighbors=1, width=0.0)
+
+    @pytest.mark.parametrize("width", [None, 1.0])
+    def test_one_point_is_rejected_before_any_distance(self, monkeypatch, width):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distance pass started")
+
+        monkeypatch.setattr(embedding, "_pairwise_sq_dists", no_distances)
+        with pytest.raises(ValueError, match="need at least two points"):
+            slpp_fit(np.ones((1, 3)), [0], d_latent=1, n_neighbors=1, width=width)
+        with pytest.raises(ValueError, match="need at least two points"):
+            knn_affinity(np.ones((1, 3)), [0], n_neighbors=1, width=1.0)
+
+    def test_every_neighbour_count_is_checked_before_any_distance(self, monkeypatch):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distance pass started")
+
+        monkeypatch.setattr(embedding, "_pairwise_sq_dists", no_distances)
+        X, labels = make_blobs(np.random.default_rng(9), per_class=4, d=3)
+        with pytest.raises(ValueError, match=r"n_neighbors must be in \[1, 11\], got 12"):
+            embedding.slpp_fit_many(X, labels, d_latent=1, graphs=[(3, 1.0), (12, 1.0)])
+        with pytest.raises(ValueError, match=r"got 0"):
+            knn_affinity(X, labels, n_neighbors=0, width=1.0)
 
 
 class TestSlpp:
@@ -459,30 +534,61 @@ class TestSlppFitMany:
             assert model.eigenvalues.tobytes() == one.eigenvalues.tobytes()
 
     def test_memory_at_n1000(self):
-        # the (n, n) float64 matrix is 8 MB. The distances are freed before
-        # the weights are built, so the weights and their symmetrized copy
-        # are the only two n x n arrays alive at once; a fit that kept the
-        # previous graph's weights, or the distances beside the weights,
-        # would hold three
+        # the (n, n) float64 matrix is 8 MB. No n x n array is built: the
+        # median's strict upper triangle is 0.5 of it, and the distances are
+        # streamed in row blocks of about 1 MB beside it. A dense distance
+        # matrix or dense weights would break the one-graph bound
         rng = np.random.default_rng(24)
         X = rng.normal(size=(1000, 64))
         labels = np.repeat(np.arange(10), 100)
         matrix = 1000 * 1000 * 8
-
-        def peak(fit):
-            tracemalloc.start()
-            try:
-                fit()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        one = peak(lambda: slpp_fit(X, labels, d_latent=10, n_neighbors=10))
+        one = traced_peak(lambda: slpp_fit(X, labels, d_latent=10, n_neighbors=10))
         graphs = [(k, s) for k in (5, 10) for s in (0.5, 1.0, 2.0)]
-        many = peak(lambda: embedding.slpp_fit_many(X, labels, d_latent=10, graphs=graphs))
-        assert one <= 2.2 * matrix
-        # the other graphs' kNN pairs are O(n k), not O(n^2)
-        assert many <= one + 0.05 * matrix
+        many = traced_peak(lambda: embedding.slpp_fit_many(X, labels, d_latent=10, graphs=graphs))
+        assert one <= 1.2 * matrix
+        # beyond one graph's peak, each further n_neighbors k keeps its kNN
+        # pairs, (row, col, exact distance) in 24 bytes for each of about n k
+        # pairs; a fit that kept a graph's weights after its solve, or built
+        # them as an n x n array, would not fit
+        assert many <= one + 24 * 1000 * sum({5, 10})
+
+    def test_memory_at_n5000(self):
+        # one UCF-sized training set at d=256: the triangle buffer alone is
+        # 0.5 of the (n, n) float64 matrix (200 MB), so 0.6 leaves 20 MB for
+        # the streamed blocks, the pairs and the solve
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(5000, 256))
+        labels = np.repeat(np.arange(50), 100)
+        peak = traced_peak(lambda: slpp_fit(X, labels, d_latent=10, n_neighbors=10))
+        assert peak <= 0.6 * 5000 * 5000 * 8
+
+
+class TestPairGraphAgainstDense:
+    """SLPP on the (rows, cols, weights) graph against dense_slpp_reference:
+    the row sums and W X are added up in another order, so A and B may move in
+    their last bits, and the fit stays within rounding of the dense one."""
+
+    @staticmethod
+    def inputs(case):
+        rng = np.random.default_rng(31)
+        if case == "integer-grid":  # many exactly tied distances, some duplicate points
+            return rng.integers(-3, 4, size=(120, 6)).astype(float), rng.integers(0, 4, size=120)
+        if case == "duplicated-rows":
+            X, labels = make_blobs(rng, n_classes=3, per_class=25, d=6)
+            return np.vstack([X, X[::3]]), np.concatenate([labels, labels[::3]])
+        # interleaved classes: many rows have no same-class neighbour
+        return rng.normal(size=(90, 6)), rng.integers(0, 3, size=90)
+
+    @pytest.mark.parametrize("n_neighbors,width_scale", [(1, 1.0), (5, 0.5)])
+    @pytest.mark.parametrize("case", ["integer-grid", "duplicated-rows", "empty-rows"])
+    def test_fit_matches_dense_weights(self, case, n_neighbors, width_scale):
+        X, labels = self.inputs(case)
+        vals, P, filled = dense_slpp_reference(X, labels, n_neighbors, width_scale, 4)
+        if case == "empty-rows":
+            assert filled > 0
+        model = slpp_fit(X, labels, d_latent=4, n_neighbors=n_neighbors, width_scale=width_scale)
+        assert np.abs(model.eigenvalues - vals).max() <= 1e-12 * np.abs(vals).max()
+        assert principal_angles(model.projection, P).max() < 1e-6
 
 
 class TestGeneralizedEigh:
@@ -536,17 +642,40 @@ class TestMedianPairwiseDistance:
         with pytest.raises(DataError, match="coincide"):
             median_pairwise_distance(np.ones((5, 3)))
 
+    @pytest.mark.parametrize("values", [
+        pytest.param([3.0, 1.0, 2.0], id="odd"),
+        pytest.param([0.4, 0.1, 0.3, 0.2], id="even"),
+        pytest.param([0.0, 0.0, 0.7, 0.0, 0.1, 0.3], id="leading-zeros-odd"),
+        pytest.param([0.0, 0.1, 0.0, 0.2, 0.0, 0.0, 0.4, 0.3], id="leading-zeros-even"),
+        pytest.param([0.2, 0.2, 0.0, 0.2, 0.1, 0.1], id="repeated"),
+        pytest.param([0.0, 5.0], id="one-positive"),
+    ])
+    def test_in_place_median_is_np_median(self, values):
+        values = np.array(values)
+        want = np.median(values[values > 0])
+        assert embedding._positive_median(values.copy()) == want
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 50, 51])
+    def test_in_place_median_random_buffers(self, size):
+        # random sums like 0.1 + 0.2 make the even-count average round
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            values = rng.integers(0, 4, size=size) * 0.1 + rng.integers(0, 2, size=size) * 0.2
+            if not values.any():
+                continue
+            want = np.median(values[values > 0])
+            assert embedding._positive_median(values) == want
+
+    def test_in_place_median_of_no_positive_entry_is_data_error(self):
+        with pytest.raises(DataError, match="coincide"):
+            embedding._positive_median(np.zeros(6))
+
     def test_memory_at_n2000(self):
-        # the (n, n) distance matrix alone is 30.5 MB; upper-triangle index
-        # arrays would add two int64 arrays of n(n-1)/2 entries (32 MB)
+        # the strict upper triangle of the distances is 15.3 MB, half the
+        # (n, n) matrix; holding the matrix, or upper-triangle index arrays
+        # (two int64 arrays of n(n-1)/2 entries, 32 MB), breaks the bound
         X = np.random.default_rng(22).normal(size=(2000, 16))
-        tracemalloc.start()
-        try:
-            median_pairwise_distance(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 56 * 2**20
+        assert traced_peak(lambda: median_pairwise_distance(X)) < 0.75 * 2000 * 2000 * 8
 
 
 class TestPaperScaleMemory:
