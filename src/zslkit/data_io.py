@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import SemanticSpace, VectorBag
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _MAGIC = "ZMAT"
 
@@ -230,9 +230,10 @@ def generate_class_splits(class_ids, n_seen: int, n_splits: int, seed: int) -> l
     else:
         ids = sorted(int(c) for c in class_ids)
     if not 0 < n_seen < len(ids):
-        raise ValueError(f"n_seen must be in (0, {len(ids)}), got {n_seen}")
+        raise ConfigError(f"n_seen must be in 1..{len(ids) - 1} for {len(ids)} classes, "
+                          f"got {n_seen}")
     if n_splits < 1:
-        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
+        raise ConfigError(f"n_splits must be >= 1, got {n_splits}")
 
     rng = np.random.default_rng(seed)
     ids_arr = np.asarray(ids)
@@ -279,7 +280,11 @@ def load_splits(path) -> list:
         ]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"cannot read splits file {path}: {e}") from e
-    for s in splits:
+    if not splits:
+        raise DataError(f"splits file {path} lists no split")
+    for k, s in enumerate(splits):
+        if s.split_index in [t.split_index for t in splits[:k]]:
+            raise DataError(f"splits file {path}: split_index {s.split_index} is listed twice")
         for name, ids in (("seen", s.seen), ("unseen", s.unseen)):
             if not ids:
                 raise DataError(f"splits file {path}: split {s.split_index} has no {name} classes")

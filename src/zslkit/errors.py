@@ -1,10 +1,10 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4. The CLI checks the range of every numeric option
-itself and reports a value outside it as a ConfigError that names the
-option. Library functions called directly raise plain ValueError for such
-values; at the CLI boundary a ValueError is treated like DataError.
+NumericalError -> 4; any other ValueError is treated like DataError. An
+option out of range is a ConfigError, raised by the type that holds it
+(EvalConfig, SynthSpec) and naming the field. It is also a ValueError, so
+API callers that catch ValueError keep working.
 """
 
 
@@ -12,7 +12,7 @@ class ZslError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(ZslError):
+class ConfigError(ZslError, ValueError):
     """Invalid or inconsistent run configuration."""
 
 

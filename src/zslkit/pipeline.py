@@ -13,19 +13,30 @@ seeds from the master seed and the split index.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import data_io, embedding, zsl_eval
 from .encoders import SemanticSpace
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .zsl_eval import SearchSpace
 
 DEFAULT_CV_GRID = {
     "d_latent": (20, 50, 100),
     "n_neighbors": (5, 10, 20),
     "width_scale": (0.5, 1.0, 2.0),
+}
+# The range of each numeric EvalConfig field, and of its cv_grid values.
+RANGES = {
+    "d_latent": (lambda x: x >= 1, ">= 1"),
+    "n_neighbors": (lambda x: x >= 1, ">= 1"),
+    "width_scale": (lambda x: 0 < x < math.inf, "finite and > 0"),
+    "holdout_fraction": (lambda x: 0 < x < 1, "in (0, 1)"),
+    "lsm_max_iter": (lambda x: x >= 0, ">= 0"),
+    "lsm_restarts": (lambda x: x >= 1, ">= 1"),
+    "lsm_tol": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
 }
 
 
@@ -47,6 +58,21 @@ class EvalConfig:
     cv_n_folds: int = 5
     cv_grid: dict = field(default_factory=lambda: dict(DEFAULT_CV_GRID))
     seed: int = 0
+
+    def __post_init__(self):
+        """Raise a ConfigError naming the first field out of range; replace() runs it too."""
+        if not (self.czsl or self.gzsl):
+            raise ConfigError("at least one of czsl, gzsl must be True")
+        for key, axis in self.cv_grid.items():
+            if key not in DEFAULT_CV_GRID or len(axis) == 0:
+                raise ConfigError(f"cv_grid may vary only {sorted(DEFAULT_CV_GRID)}, each over "
+                                  f"at least one value; got {key}: {axis}")
+        checks = [(name, name, getattr(self, name)) for name in RANGES]
+        checks += [(f"cv_grid {k}", k, v) for k, axis in self.cv_grid.items() for v in axis]
+        for label, name, value in checks:
+            in_range, requirement = RANGES[name]
+            if not in_range(value):
+                raise ConfigError(f"{label} must be {requirement}, got {value}")
 
     def settings(self) -> list:
         out = ["inductive"]
@@ -81,11 +107,8 @@ def split_seeds(master: int, split_index: int) -> dict:
 
 
 def _clip_hyperparameters(cfg: EvalConfig, n_train: int, d_visual: int) -> EvalConfig:
-    d_latent = min(cfg.d_latent, d_visual, n_train - 1)
-    n_neighbors = min(cfg.n_neighbors, n_train - 1)
-    if d_latent != cfg.d_latent or n_neighbors != cfg.n_neighbors:
-        return replace(cfg, d_latent=d_latent, n_neighbors=n_neighbors)
-    return cfg
+    return replace(cfg, d_latent=min(cfg.d_latent, d_visual, n_train - 1),
+                   n_neighbors=min(cfg.n_neighbors, n_train - 1))
 
 
 def _check_classes(space: SemanticSpace, classes) -> None:
@@ -114,6 +137,9 @@ def _visual_stage(features, labels, split, cfg: EvalConfig):
             seen_test=np.zeros(0, dtype=np.int64),
             unseen_test=np.flatnonzero(np.isin(labels, list(split.unseen))),
         )
+    if part.train.size < 2:
+        raise DataError(f"split {split.split_index} has {part.train.size} training "
+                        "example(s); SLPP needs at least two")
     return part, _clip_hyperparameters(cfg, part.train.size, features.shape[1])
 
 
@@ -228,7 +254,7 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     seen classes.
 
     The grid may vary d_latent, n_neighbors and width_scale (the keys of
-    DEFAULT_CV_GRID); any other key is a ValueError. The folds are drawn
+    DEFAULT_CV_GRID), as EvalConfig checks. The folds are drawn
     from the split's "cv" seed, and each fold is scored in the conventional
     setting with that seed as master, so every combination meets the same
     folds and the same LSM starts. The grid is scanned in its declared
@@ -238,14 +264,11 @@ def select_hyperparameters(features, labels, space, split, cfg: EvalConfig) -> d
     One _evaluate_many call scores every (grid point, fold), so each fold's
     grid points share one SLPP fit and all placements descend together.
     """
-    unknown = sorted(set(cfg.cv_grid) - set(DEFAULT_CV_GRID))
-    if unknown:
-        raise ValueError(f"cv_grid may vary only {sorted(DEFAULT_CV_GRID)}, not {unknown}")
     cv_seed = split_seeds(cfg.seed, split.split_index)["cv"]
     folds = data_io.cv_folds(split.seen, cfg.cv_n_folds, cv_seed)
-    fold_cfg = replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed)
     grid = [dict(zip(cfg.cv_grid, combo)) for combo in itertools.product(*cfg.cv_grid.values())]
-    jobs = [(fold, replace(fold_cfg, **chosen)) for chosen in grid for fold in folds]
+    jobs = [(fold, replace(cfg, czsl=True, gzsl=False, transductive=False, seed=cv_seed, **chosen))
+            for chosen in grid for fold in folds]
     scores = [m["inductive"]["A_UU"] for m in _evaluate_many(features, labels, space, jobs)]
     means = [float(np.mean(scores[i:i + len(folds)])) for i in range(0, len(scores), len(folds))]
     return grid[means.index(max(means))]

@@ -39,12 +39,9 @@ class SynthSpec:
     noise_bag: float = 0.05
     n_splits: int = 5
 
-    def validate(self) -> None:
-        positive = (
-            "n_classes", "n_seen", "d_visual", "d_latent_true", "d_semantic",
-            "examples_per_class", "images_per_class", "n_splits",
-        )
-        for key in positive:
+    def __post_init__(self):
+        for key in ("n_classes", "n_seen", "d_visual", "d_latent_true", "d_semantic",
+                    "examples_per_class", "images_per_class", "n_splits"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"synth spec field {key} must be >= 1")
         if self.n_seen >= self.n_classes:
@@ -91,9 +88,7 @@ def spec_from_json(payload: dict) -> SynthSpec:
         if key not in kinds:
             raise ConfigError(f"unknown synth spec key {key!r}")
         _checked(key, value, kinds[key])
-    spec = SynthSpec(**payload)
-    spec.validate()
-    return spec
+    return SynthSpec(**payload)
 
 
 def _orthonormal_lift(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
@@ -123,7 +118,6 @@ def make_synthetic(spec: SynthSpec, seed: int, out_dir) -> Path:
     semantic space (the noisy class points, Euclidean metric), seen/unseen
     splits, and a config echo. Byte-identical for a fixed (spec, seed).
     """
-    spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bags").mkdir(exist_ok=True)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zslkit import cli, data_io, embedding, synth
 from zslkit.cli import build_parser
@@ -306,7 +311,7 @@ class TestEvaluateCommand:
     def evaluate_error(tmp_path, capsys, per_class=15, scale=1.0, edit=None):
         """main_error of an evaluate on a small synthetic dataset whose
         features are multiplied by scale and, when edit is given, whose
-        split 1 is edit(split 1); a warning on the way fails the test."""
+        split list is edit(splits); a warning on the way fails the test."""
         spec = synth.SynthSpec(
             n_classes=8, n_seen=4, d_visual=12, d_latent_true=3, d_semantic=6,
             examples_per_class=per_class, images_per_class=6, n_splits=2,
@@ -317,7 +322,7 @@ class TestEvaluateCommand:
         if edit:
             splits = tmp_path / "data" / "splits.json"
             payload = json.loads(splits.read_text())
-            payload["splits"][1] = edit(payload["splits"][1])
+            payload["splits"] = edit(payload["splits"])
             splits.write_text(json.dumps(payload))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -337,15 +342,18 @@ class TestEvaluateCommand:
             (15, 1e160, None, "features overflow"),
             (15, 1e153, None, "features overflow"),
             (2, 1.0, None, "GZSL holdout"),
-            (15, 1.0, lambda s: {**s, "seen": []}, "split 1 has no seen classes"),
-            (15, 1.0, lambda s: {**s, "unseen": []}, "split 1 has no unseen classes"),
-            (15, 1.0, lambda s: {**s, "unseen": s["unseen"] + s["unseen"][:1]},
+            (15, 1.0, lambda s: [s[0], {**s[1], "seen": []}], "split 1 has no seen classes"),
+            (15, 1.0, lambda s: [s[0], {**s[1], "unseen": []}], "split 1 has no unseen classes"),
+            (15, 1.0, lambda s: [s[0], {**s[1], "unseen": s[1]["unseen"] + s[1]["unseen"][:1]}],
              "split 1 lists unseen class"),
+            (15, 1.0, lambda s: [], "splits.json lists no split"),
+            (15, 1.0, lambda s: [s[0], {**s[1], "split_index": 0}],
+             "splits.json: split_index 0 is listed twice"),
         ],
         ids=[
             "features-overflow", "matrices-overflow", "holdout-leaves-one-example",
             "split-without-seen-classes", "split-without-unseen-classes",
-            "split-with-repeated-class",
+            "split-with-repeated-class", "no-split", "repeated-split-index",
         ],
     )
     def test_bad_input_is_data_error(self, tmp_path, capsys, per_class, scale, edit, named):
@@ -353,6 +361,21 @@ class TestEvaluateCommand:
         assert code == 3
         assert err["error"] == "DataError"
         assert named in err["message"]
+
+    def test_one_training_example_is_data_error(self, tmp_path, capsys):
+        # one seen class of one example, no holdout: nothing to fit SLPP on
+        spec = synth.SynthSpec(n_classes=4, n_seen=1, d_visual=4, d_latent_true=2,
+                               d_semantic=3, examples_per_class=1, n_splits=1)
+        manifest = synth.make_synthetic(spec, 1, tmp_path / "data")
+        code, err = main_error(
+            capsys, "evaluate", "--manifest", manifest,
+            "--space", tmp_path / "data" / "space.json",
+            "--splits", tmp_path / "data" / "splits.json",
+            "--settings", "czsl", "--out", tmp_path / "eval",
+        )
+        assert code == 3
+        assert err == {"error": "DataError", "message": "split 0 has 1 training example(s); "
+                       "SLPP needs at least two"}
 
     def test_warnings_print_one_line_each(self, tmp_path, capsys):
         # two classes with one semantic vector: every Sammon placement that
@@ -573,3 +596,79 @@ class TestConfigFile:
         assert (echo["czsl"], echo["gzsl"], echo["transductive"]) == (True, False, False)
         inductive = json.loads((tmp_path / "out" / "report_inductive.json").read_text())
         assert set(inductive["mean"]) == {"A_UU"}
+
+
+# Every evaluate option that sets a run value: (its flag or None for a
+# config-only key, values in range, values out of range, what an error for
+# an out-of-range value names). Values in range stay small, so that each
+# drawn run is cheap.
+OPTIONS = {
+    "d_latent": ("--d-latent", st.integers(1, 50), st.integers(-3, 0), "d_latent"),
+    "neighbors": ("--neighbors", st.integers(1, 50), st.integers(-3, 0), "neighbors"),
+    "width_scale": ("--width-scale", st.floats(1e-3, 1e3),
+                    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]), "width_scale"),
+    "holdout_fraction": (None, st.floats(0.05, 0.5),
+                         st.sampled_from([0.0, 1.0, 1.5, -0.2, math.nan]), "holdout_fraction"),
+    "lsm_max_iter": (None, st.integers(0, 40), st.integers(-5, -1), "lsm_max_iter"),
+    "lsm_restarts": (None, st.integers(1, 2), st.integers(-2, 0), "lsm_restarts"),
+    "n_splits": ("--n-splits", st.integers(1, 2), st.integers(-2, 0), "n_splits"),
+    "n_seen": ("--n-seen", st.integers(1, 7), st.sampled_from([-1, 0, 8, 9]), "n_seen"),
+    "seed": ("--seed", st.integers(0, 2**31 - 1), st.integers(-5, -1), "seed"),
+    # both "unknown settings ..." and "at least one of czsl, gzsl ..." name czsl
+    "settings": ("--settings", st.sampled_from(["czsl", "gzsl", "gzsl, czsl"]),
+                 st.sampled_from(["zsl", "czsl,foo", ""]), "czsl"),
+}
+
+
+@st.composite
+def drawn_options(draw):
+    """(key, value, valid, as_flag): one option and a value for it."""
+    key = draw(st.sampled_from(sorted(OPTIONS)))
+    flag, valid_values, invalid_values, _ = OPTIONS[key]
+    valid = draw(st.booleans())
+    value = draw(valid_values if valid else invalid_values)
+    return key, value, valid, flag is not None and draw(st.booleans())
+
+
+class TestOptionProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(option=drawn_options())
+    def test_every_option_value_exits_cleanly(self, synth_dir, option):
+        key, value, valid, as_flag = option
+        config = {
+            "manifest": str(synth_dir / "manifest.json"),
+            "space": str(synth_dir / "space.json"),
+            "d_latent": 3, "neighbors": 5, "lsm_max_iter": 30, "lsm_restarts": 1,
+        }
+        if key not in ("n_splits", "n_seen"):  # these draw the splits themselves
+            config["splits"] = str(synth_dir / "splits.json")
+        argv = ["evaluate"]
+        if as_flag:
+            config.pop(key, None)
+            argv.append(f"{OPTIONS[key][0]}={value}")
+        else:
+            config[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            config["out"] = str(out)
+            (Path(tmp) / "run.json").write_text(json.dumps(config))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--config", str(Path(tmp) / "run.json")])
+            wrote = out.exists() and any(out.iterdir())
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert valid
+            return
+        # a value in range may still fail on the data (3) or numerically (4):
+        # width_scale 1e-3 exits 4 on this data
+        assert code in ((3, 4) if valid else (2,)), err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        payload = json.loads(lines[0])
+        if not valid:
+            assert payload["error"] == "ConfigError"
+            assert OPTIONS[key][3] in payload["message"]
+            assert not wrote

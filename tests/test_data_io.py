@@ -26,7 +26,7 @@ from zslkit.data_io import (
     write_json,
 )
 from zslkit.encoders import SemanticSpace, VectorBag
-from zslkit.errors import DataError
+from zslkit.errors import ConfigError, DataError
 from zslkit.zsl_eval import build_report, save_report
 
 
@@ -143,6 +143,18 @@ class TestClassSplits:
         with pytest.raises(ValueError):
             generate_class_splits(10, 10, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_seen,n_splits,message",
+        [
+            (0, 1, "n_seen must be in 1..9 for 10 classes, got 0"),
+            (10, 1, "n_seen must be in 1..9 for 10 classes, got 10"),
+            (4, 0, "n_splits must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_is_config_error(self, n_seen, n_splits, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            generate_class_splits(10, n_seen, n_splits, seed=0)
+
     @settings(max_examples=40)
     @given(
         n_classes=st.integers(2, 30),
@@ -184,6 +196,21 @@ class TestClassSplits:
         path = tmp_path / "splits.json"
         save_splits(splits, path)
         with pytest.raises(DataError, match=re.escape(f"{path}: split 1 {problem}")):
+            load_splits(path)
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda splits: [], " lists no split"),
+            (lambda splits: [splits[0], replace(splits[1], split_index=0)],
+             ": split_index 0 is listed twice"),
+        ],
+        ids=["no-split", "repeated-split-index"],
+    )
+    def test_bad_split_lists_are_data_errors(self, tmp_path, edit, problem):
+        path = tmp_path / "splits.json"
+        save_splits(edit(generate_class_splits(10, 4, 3, seed=2)), path)
+        with pytest.raises(DataError, match=re.escape(f"splits file {path}{problem}")):
             load_splits(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from zslkit import data_io, embedding, pipeline, synth, zsl_eval
 from zslkit.encoders import SemanticSpace
-from zslkit.errors import DataError
+from zslkit.errors import ConfigError, DataError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,32 @@ class TestDeriveSeed:
     def test_distinct_paths(self):
         seeds = {pipeline.derive_seed(3, i, j) for i in range(5) for j in range(3)}
         assert len(seeds) == 15
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"width_scale": float("nan")}, "width_scale must be finite and > 0, got nan"),
+            ({"lsm_max_iter": -3}, "lsm_max_iter must be >= 0, got -3"),
+            ({"czsl": False, "gzsl": False}, "czsl, gzsl"),
+            ({"holdout_fraction": 1.5, "gzsl": False}, "holdout_fraction must be in (0, 1)"),
+            ({"cv_grid": {"d_latent": (), "n_neighbors": (5,)}}, "got d_latent: ()"),
+            ({"lsm_tol": float("nan")}, "lsm_tol must be finite and >= 0, got nan"),
+            ({"lsm_tol": -1e-9}, "lsm_tol must be finite and >= 0"),
+            ({"cv_grid": {"d_latent": (0,)}}, "cv_grid d_latent must be >= 1, got 0"),
+        ],
+        ids=["nan-width-scale", "negative-lsm-max-iter", "no-setting",
+             "holdout-fraction-above-one", "empty-grid-axis", "nan-lsm-tol",
+             "negative-lsm-tol", "zero-d-latent-in-grid"],
+    )
+    def test_bad_value_raises_on_build_and_replace(self, fields, named):
+        for build in (lambda: pipeline.EvalConfig(**fields),
+                      lambda: replace(pipeline.EvalConfig(), **fields)):
+            with pytest.raises(ConfigError) as caught:
+                build()
+            assert isinstance(caught.value, ValueError)
+            assert named in str(caught.value)
 
 
 class TestEvaluateSplit:
@@ -196,13 +222,16 @@ class TestCrossValidation:
 
     def test_cv_grid_varies_only_the_documented_keys(self, planted, monkeypatch):
         ds, space, splits = planted
+        with pytest.raises(ValueError, match="lsm_max_iter"):
+            pipeline.EvalConfig(
+                seed=2, cv=True, cv_n_folds=2,
+                cv_grid={"d_latent": (2,), "lsm_max_iter": (10, 30)},
+                transductive=False, gzsl=False, lsm_restarts=1, lsm_max_iter=20,
+            )
         cfg = pipeline.EvalConfig(
-            seed=2, cv=True, cv_n_folds=2,
-            cv_grid={"d_latent": (2,), "lsm_max_iter": (10, 30)},
+            seed=2, cv=True, cv_n_folds=2, cv_grid={"d_latent": (2,)},
             transductive=False, gzsl=False, lsm_restarts=1, lsm_max_iter=20,
         )
-        with pytest.raises(ValueError, match="lsm_max_iter"):
-            pipeline.select_hyperparameters(ds.features, ds.labels, space, splits[0], cfg)
 
         # every (grid point, fold) placement is placed by one stacked call
         lsm_embed_many, calls = embedding.lsm_embed_many, []

@@ -47,6 +47,10 @@ class TestSpec:
         with pytest.raises(ConfigError):
             synth.spec_from_json({"n_classes": 5, "n_seen": 5})
 
+    def test_spec_checks_itself_when_built(self):
+        with pytest.raises(ConfigError, match="n_seen must be smaller than n_classes"):
+            synth.SynthSpec(n_seen=99)
+
 
 class TestGeneration:
     def test_deterministic_files(self, tmp_path):
