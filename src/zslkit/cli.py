@@ -298,8 +298,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so that they
+    leave as every failure does: exit 2 and one JSON line, with no usage
+    block. Subparsers share the class; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zslkit",
         description="Zero-shot action recognition toolkit",
     )

@@ -176,23 +176,39 @@ def _exact_argmin(X: np.ndarray, Y: np.ndarray, scores: np.ndarray, slack: float
 
     scores is (len(Y), len(X)): column i holds ||X[i] - Y[j]||^2 up to a
     constant per column, each entry within slack of its explicit-difference
-    value. A column's minimum decides it unless its runner-up lies within
-    2 * slack; those columns are decided on _exact_sq_dists of the rows
-    within 2 * slack of the minimum. scores is left as it was passed.
+    value, so the nearest row lies within 2 * slack of the column's minimum.
+    A column with one row that near is decided by it; a column with more is
+    decided on _exact_sq_dists of those rows. A column whose minimum is NaN
+    has no near row and keeps np.argmin's answer, its first NaN.
     """
-    points = np.arange(scores.shape[1])
-    best = np.argmin(scores, axis=0)
-    low = scores[best, points]
-    scores[best, points] = np.inf
-    runner_up = np.min(scores, axis=0)
-    scores[best, points] = low
-    tied = np.flatnonzero(runner_up <= low + 2.0 * slack)
+    k, n = scores.shape
+    if scores.flags.c_contiguous:
+        # rows contiguous (Lloyd's scores): np.argmin over axis 0 would first
+        # copy them into the other memory order. Each column's near count and
+        # the sum of its near rows' numbers come from one product, exact in
+        # float64; with one near row, the sum is that row
+        low = scores.min(axis=0)
+        near = scores <= low + 2.0 * slack
+        basis = np.ones((2, k))
+        basis[1] = np.arange(k)
+        count, row_sum = basis @ near
+        best = row_sum.astype(np.intp)
+    else:
+        # columns contiguous (classify_nn's transposed distances): argmin
+        # reads them in place and lands on the one near row if there is one;
+        # near.T's flat indices give the counts
+        best = scores.argmin(axis=0)
+        near = scores <= scores[best, np.arange(n)] + 2.0 * slack
+        count = np.bincount(np.flatnonzero(near.T) // k, minlength=n)
+    tied = np.flatnonzero(count > 1)
     if tied.size:
-        near = scores[:, tied] <= low[tied] + 2.0 * slack
-        rows, cols = np.divmod(np.flatnonzero(near), tied.size)
-        exact = np.full((tied.size, scores.shape[0]), np.inf)
+        rows, cols = np.divmod(np.flatnonzero(near[:, tied]), tied.size)
+        exact = np.full((tied.size, k), np.inf)
         exact[cols, rows] = _exact_sq_dists(X, Y, tied[cols], rows)
         best[tied] = np.argmin(exact, axis=1)
+    lost = np.flatnonzero(count == 0)
+    if lost.size:
+        best[lost] = np.argmin(scores[:, lost], axis=0)
     return best
 
 
@@ -403,8 +419,16 @@ def _affinities(X, labels, graphs, width):
         if w <= 0:
             raise ValueError(f"kernel width must be positive, got {w}")
 
-    for (n_neighbors, _), w in zip(graphs, widths):
-        yield _graph(X, labels, found[n_neighbors], 2.0 * w**2)
+    for (n_neighbors, width_scale), w in zip(graphs, widths):
+        graph = _graph(X, labels, found[n_neighbors], 2.0 * w**2)
+        if not graph[2].any():  # X^T D X would be 0 and fail its Cholesky step
+            raise NumericalError(
+                f"kernel width {w:.6g} underflows every heat-kernel weight to 0; raise the width"
+                if width is not None else
+                f"width_scale {width_scale:g} gives kernel width {w:.6g} (median distance "
+                f"{median:.6g}), which underflows every heat-kernel weight to 0; raise width_scale"
+            )
+        yield graph
 
 
 def _graph(X, labels, pairs, scale):

@@ -148,6 +148,12 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
         return _exact_argmin(X, centers, scores, _slack(x2_max, c_aug[:, d].max(), d))
 
     move(np.arange(k))
+    # a weighted bincount adds each cluster's rows in row order; one call
+    # over the flat (cluster, column) bins does every column. The bins are
+    # kept from pass to pass and rewritten only for points that changed
+    # cluster
+    weights = X.ravel()
+    bins = np.empty((n, d), dtype=np.intp)
     assignments = None
     for _ in range(max_iter):
         new_assign = assign()
@@ -155,7 +161,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
         # point farthest from the centroid it is currently assigned to
         c = 0
         while True:
-            empty = np.flatnonzero(np.bincount(new_assign, minlength=k)[c:] == 0)
+            counts = np.bincount(new_assign, minlength=k)
+            empty = np.flatnonzero(counts[c:] == 0)
             if empty.size == 0:
                 break
             c += int(empty[0])
@@ -164,15 +171,13 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> KmeansResult:
             move([c])
             new_assign = assign()
             c += 1
-        if assignments is not None and np.array_equal(new_assign, assignments):
+        changed = points if assignments is None else np.flatnonzero(new_assign != assignments)
+        if changed.size == 0:
             break
         assignments = new_assign
-        # a weighted bincount adds each cluster's rows in row order; one
-        # call over the flattened (cluster, column) bins does every column
-        sums = np.bincount(
-            (assignments[:, None] * d + columns).ravel(), weights=X.ravel(), minlength=k * d
-        )
-        updated = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
+        bins[changed] = assignments[changed, None] * d + columns
+        sums = np.bincount(bins.ravel(), weights=weights, minlength=k * d)
+        updated = sums.reshape(k, d) / counts[:, None]
         moved = np.flatnonzero((updated != centers).any(axis=1))
         centers = updated
         move(moved)

@@ -407,6 +407,60 @@ class TestEvaluateCommand:
         assert err == {"error": "MemoryError", "message": message}
 
 
+class TestUsageErrors:
+    """A command line argparse rejects leaves as every failure does: exit 2
+    and one JSON line on stderr, with no usage block and no traceback."""
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--d-latent", "abc"], "argument --d-latent: invalid int value: 'abc'"),
+            (["--width-scale", "-inf"], "argument --width-scale: expected one argument"),
+            (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        ],
+        ids=["bad-int", "negative-infinity-reads-as-a-flag", "unknown-flag"],
+    )
+    def test_argparse_error_is_one_json_line(self, synth_dir, tmp_path, capsys, extra, named):
+        code = cli.main([
+            "evaluate", "--manifest", str(synth_dir / "manifest.json"),
+            "--space", str(synth_dir / "space.json"), *extra, "--out", str(tmp_path / "eval"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage:" not in err and "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert named in payload["message"]
+        assert not (tmp_path / "eval").exists()
+
+    def test_missing_command_is_one_json_line(self, capsys):
+        code, err = main_error(capsys)
+        assert code == 2
+        assert err == {"error": "ConfigError",
+                       "message": "zslkit: the following arguments are required: command"}
+
+    def test_help_still_prints_usage_and_exits_0(self, capsys):
+        assert cli.main(["evaluate", "--help"]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: zslkit evaluate")
+        assert out.err == ""
+
+    def test_underflowing_width_scale_is_named(self, synth_dir, tmp_path, capsys):
+        # at 1e-3 times the median distance every heat-kernel weight of this
+        # data underflows to 0; the error names width_scale and the width
+        code, err = main_error(
+            capsys, "evaluate", "--manifest", synth_dir / "manifest.json",
+            "--space", synth_dir / "space.json", "--splits", synth_dir / "splits.json",
+            "--width-scale", "0.001", "--out", tmp_path / "eval",
+        )
+        assert code == 4
+        assert err["error"] == "NumericalError"
+        assert err["message"].startswith("width_scale 0.001 gives kernel width ")
+        assert "underflows every heat-kernel weight to 0" in err["message"]
+
+
 class TestSweepCommand:
     def test_images_axis(self, synth_dir, tmp_path):
         result = run_cli(
@@ -622,19 +676,22 @@ OPTIONS = {
 
 @st.composite
 def drawn_options(draw):
-    """(key, value, valid, as_flag): one option and a value for it."""
+    """(key, value, valid, form): one option, a value for it, and how it is
+    given: "config" (a config-file key), "--flag=value" or "--flag value"."""
     key = draw(st.sampled_from(sorted(OPTIONS)))
     flag, valid_values, invalid_values, _ = OPTIONS[key]
     valid = draw(st.booleans())
     value = draw(valid_values if valid else invalid_values)
-    return key, value, valid, flag is not None and draw(st.booleans())
+    forms = ["config"] + (["--flag=value", "--flag value"] if flag else [])
+    return key, value, valid, draw(st.sampled_from(forms))
 
 
 class TestOptionProperty:
     @settings(max_examples=30, deadline=None)
     @given(option=drawn_options())
     def test_every_option_value_exits_cleanly(self, synth_dir, option):
-        key, value, valid, as_flag = option
+        key, value, valid, form = option
+        flag = OPTIONS[key][0]
         config = {
             "manifest": str(synth_dir / "manifest.json"),
             "space": str(synth_dir / "space.json"),
@@ -643,11 +700,11 @@ class TestOptionProperty:
         if key not in ("n_splits", "n_seen"):  # these draw the splits themselves
             config["splits"] = str(synth_dir / "splits.json")
         argv = ["evaluate"]
-        if as_flag:
-            config.pop(key, None)
-            argv.append(f"{OPTIONS[key][0]}={value}")
-        else:
+        if form == "config":
             config[key] = value
+        else:
+            config.pop(key, None)
+            argv += [f"{flag}={value}"] if form == "--flag=value" else [flag, str(value)]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             config["out"] = str(out)
@@ -670,5 +727,8 @@ class TestOptionProperty:
         payload = json.loads(lines[0])
         if not valid:
             assert payload["error"] == "ConfigError"
-            assert OPTIONS[key][3] in payload["message"]
+            # argparse names the flag: "--width-scale -inf" reads as a second
+            # option, so --width-scale lacks its argument
+            named = (OPTIONS[key][3],) + ((flag,) if form == "--flag value" else ())
+            assert any(name in payload["message"] for name in named), payload
             assert not wrote

@@ -497,6 +497,25 @@ class TestSlpp:
         with pytest.raises(NumericalError):
             slpp_fit(X, labels, d_latent=10, n_neighbors=3)
 
+    def test_all_weights_underflowing_names_the_width(self, monkeypatch):
+        # exp(-d^2 / (2 w^2)) is 0 for every pair at these widths; the error
+        # comes before the eigenproblem and names the width it came from
+        def no_eigenproblem(*args):
+            raise AssertionError("eigenproblem reached")
+
+        monkeypatch.setattr(embedding, "_generalized_eigh", no_eigenproblem)
+        X, labels = make_blobs(np.random.default_rng(7), d=3)
+        median = median_pairwise_distance(X)
+        with pytest.raises(NumericalError, match=(
+            rf"^width_scale 1e-06 gives kernel width {1e-6 * median:.6g} "
+            rf"\(median distance {median:.6g}\), which underflows every heat-kernel weight"
+        )):
+            slpp_fit(X, labels, d_latent=2, n_neighbors=3, width_scale=1e-6)
+        with pytest.raises(NumericalError, match=r"^kernel width 1e-06 underflows"):
+            slpp_fit(X, labels, d_latent=2, n_neighbors=3, width=1e-6)
+        with pytest.raises(NumericalError, match=r"^kernel width 1e-06 underflows"):
+            knn_affinity(X, labels, n_neighbors=3, width=1e-6)
+
     @pytest.mark.parametrize("blobs,scale,width", [
         pytest.param({}, 1e160, None, id="None"),
         pytest.param({}, 1e160, 1.0, id="1.0"),

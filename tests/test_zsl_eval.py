@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from zslkit import data_io, pipeline, synth, zsl_eval
-from zslkit.embedding import _exact_argmin, _nearest, _pairwise_sq_dists
+from zslkit.embedding import _exact_argmin, _kmeanspp_indices, _nearest, _pairwise_sq_dists
 from zslkit.errors import DataError
 from zslkit.zsl_eval import (
     SearchSpace,
@@ -345,6 +345,125 @@ def lloyd_cases():
     ]
 
 
+# 1-D points and starting centroids that leave clusters empty, with the
+# centroids and assignments Lloyd ends at
+EMPTY_CLUSTER_CASES = [
+    pytest.param([0, 1, 10, 11], [0, 10, 100], [0, 10.5, 1], [0, 2, 1, 1], id="one-empty"),
+    pytest.param([0, 1, 2, 10, 11], [0, 10, 100, 200], [0, 10.5, 2, 1], [0, 3, 2, 1, 1],
+                 id="two-empty-in-one-pass"),
+]
+
+
+def lloyd_starts():
+    """(X, starting centroids): lloyd_cases() from a k-means++ seeding, and
+    the EMPTY_CLUSTER_CASES."""
+    starts = []
+    for case in lloyd_cases():
+        X, k = case.values
+        centers = X[_kmeanspp_indices(X, k, np.random.default_rng(k))]
+        starts.append(pytest.param(X, centers, id=case.id))
+    for case in EMPTY_CLUSTER_CASES:
+        X, centers = (np.array(v, dtype=float)[:, None] for v in case.values[:2])
+        starts.append(pytest.param(X, centers, id=case.id))
+    return starts
+
+
+def plain_lloyd(X, centers, max_iter):
+    """Lloyd's algorithm as plainly as it goes, as (centroids, assignments,
+    inertia): every pass assigns by explicit differences, repairs empty
+    clusters as _lloyd does, sums every cluster with a full weighted
+    bincount, and stops when np.array_equal finds the assignment unchanged."""
+    n, d = X.shape
+    k = centers.shape[0]
+    centers = centers.copy()
+
+    def sq_dists(assign):
+        diff = X - centers[assign]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    assignments = None
+    for _ in range(max_iter):
+        new = explicit_argmin(X, centers)
+        c = 0
+        while True:
+            empty = np.flatnonzero(np.bincount(new, minlength=k)[c:] == 0)
+            if empty.size == 0:
+                break
+            c += int(empty[0])
+            centers[c] = X[np.argmax(sq_dists(new))]
+            new = explicit_argmin(X, centers)
+            c += 1
+        if assignments is not None and np.array_equal(new, assignments):
+            break
+        assignments = new
+        bins = (assignments[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=X.ravel(), minlength=k * d)
+        centers = sums.reshape(k, d) / np.bincount(assignments, minlength=k)[:, None]
+    else:
+        assignments = explicit_argmin(X, centers)
+    return centers, assignments, float(sq_dists(assignments).sum())
+
+
+def argmin_cases():
+    """(X, Y, scores) for _exact_argmin at slack 0.5. The points are
+    integral, so squared distances tie exactly, and each score misses its
+    distance (less the column's ||x||^2) by -slack, 0 or +slack, the widest
+    error the slack allows; every value is exact in float64."""
+    rng = np.random.default_rng(31)
+
+    def scores(X, Y, offsets):
+        diff = X[None, :, :] - Y[:, None, :]
+        return np.einsum("ijk,ijk->ij", diff, diff) - np.einsum("ij,ij->i", X, X) + 0.5 * offsets
+
+    grid = rng.integers(-3, 4, size=(200, 2)).astype(float)
+    centres = rng.integers(-3, 4, size=(9, 2)).astype(float)
+    origin = np.zeros((5, 2))
+    cross = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    # rows 0 and 1 tie exactly for every point on the y axis, and row 0 reads
+    # exactly 2 * slack above row 1, the minimum
+    axis = np.column_stack([np.zeros(6), np.arange(6.0)])
+    pair = np.array([[1.0, 0.0], [-1.0, 0.0], [9.0, 9.0]])
+    boundary = np.zeros((3, 6))
+    boundary[0], boundary[1] = 1, -1
+    return [
+        pytest.param(grid, centres[:1], scores(grid, centres[:1], rng.integers(-1, 2, (1, 200))),
+                     id="k1"),
+        pytest.param(grid, centres, scores(grid, centres, rng.integers(-1, 2, (9, 200))),
+                     id="grid"),
+        pytest.param(origin, cross, scores(origin, cross, np.zeros((4, 5))),
+                     id="all-equal-columns"),
+        pytest.param(axis, pair, scores(axis, pair, boundary), id="runner-up-at-2-slack"),
+    ]
+
+
+class TestExactArgmin:
+    """_exact_argmin must give the explicit-difference argmin, first row on
+    ties, for scores in either memory order: Lloyd passes its (k, n) scores
+    C-ordered, classify_nn its (n, k) distances transposed."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("X, Y, scores", argmin_cases())
+    def test_matches_explicit_differences(self, X, Y, scores, order):
+        scores = np.array(scores, order=order)
+        before = scores.copy()
+        got = _exact_argmin(X, Y, scores, 0.5)
+        np.testing.assert_array_equal(got, explicit_argmin(X, Y))
+        np.testing.assert_array_equal(scores, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_nan_column_keeps_the_argmin_answer(self, order):
+        # a column whose minimum is NaN has no near row; np.argmin gives its
+        # first NaN, not row 0
+        X, Y, scores = argmin_cases()[1].values
+        scores = np.array(scores, order=order)
+        scores[[2, 5], 7] = np.nan
+        scores[:, 11] = np.nan
+        got = _exact_argmin(X, Y, scores, 0.5)
+        assert (got[7], got[11]) == (2, 0)
+        rest = np.setdiff1d(np.arange(len(X)), [7, 11])
+        np.testing.assert_array_equal(got[rest], explicit_argmin(X, Y)[rest])
+
+
 class TestLloydAssignment:
     """Lloyd keeps ||c||^2 - 2 c.x per centroid across passes and recomputes
     only the rows of centroids that moved. Every assignment it makes must be
@@ -372,14 +491,7 @@ class TestLloydAssignment:
         assert len(passes) >= 2
         np.testing.assert_array_equal(result.assignments, explicit_argmin(X, result.centroids))
 
-    @pytest.mark.parametrize(
-        "X, centers, centroids, assignments",
-        [
-            pytest.param([0, 1, 10, 11], [0, 10, 100], [0, 10.5, 1], [0, 2, 1, 1], id="one-empty"),
-            pytest.param([0, 1, 2, 10, 11], [0, 10, 100, 200], [0, 10.5, 2, 1], [0, 3, 2, 1, 1],
-                         id="two-empty-in-one-pass"),
-        ],
-    )
+    @pytest.mark.parametrize("X, centers, centroids, assignments", EMPTY_CLUSTER_CASES)
     def test_empty_cluster_moves_to_the_farthest_point(self, X, centers, centroids, assignments):
         # an empty cluster's centroid moves onto the point farthest from its
         # own centroid; clusters empty in one pass are repaired in index order,
@@ -389,6 +501,18 @@ class TestLloydAssignment:
         np.testing.assert_array_equal(result.centroids[:, 0], centroids)
         np.testing.assert_array_equal(result.assignments, assignments)
         assert result.inertia == 0.5
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 100])
+    @pytest.mark.parametrize("X, centers", lloyd_starts())
+    def test_matches_a_plain_lloyd(self, X, centers, max_iter):
+        # _lloyd rewrites only the centroid bins of points that changed
+        # cluster and takes the member counts from its empty-cluster check;
+        # every bit must be what full sums each pass give
+        got = zsl_eval._lloyd(X, centers.copy(), max_iter)
+        centroids, assignments, inertia = plain_lloyd(X, centers, max_iter)
+        assert got.centroids.tobytes() == centroids.tobytes()
+        np.testing.assert_array_equal(got.assignments, assignments)
+        assert got.inertia == inertia
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the paper-51-50 and slpp-dense shapes of the transductive k-means
